@@ -66,12 +66,6 @@ class ParamSet:
     def __contains__(self, name: str) -> bool:
         return name in self._values
 
-    def copy(self) -> "ParamSet":
-        out = ParamSet()
-        for n in self._values:
-            out.add(n, self._values[n].copy(), self._trainable[n])
-        return out
-
 
 class Node:
     """One graph operation with cached value and gradient slot."""
@@ -89,10 +83,6 @@ class Node:
 
 # ---------------------------------------------------------------------------
 # graph constructors
-
-
-def inp(name: str) -> Node:
-    return Node("input", name=name)
 
 
 def const(value) -> Node:
@@ -208,16 +198,14 @@ def critic_input_gradient(critic: ParamSet, h: Node, slope: float = 0.2) -> Node
     """Graph node for the critic's gradient w.r.t. its input rows.
 
     The critic must be the fixed chain affine("W0","b0") -> leaky-relu ->
-    affine("W1","b1") -> leaky-relu -> affine("W2","b2") -> scalar.  The
+    affine("W1","b1") -> leaky-relu -> affine("W2","b2") -> scalar, the
+    depth `NetworkConfig` enforces through `critic_widths`.  The
     returned node evaluates, for each row h, W0' D0 W1' D1 w2 where the Di
     are diagonal activation-derivative masks.  The masks are treated as
     constants under differentiation (leaky-relu curvature is zero almost
     everywhere), so `backward` through this node yields correct critic
     parameter gradients of the gradient-penalty loss.
     """
-    for name in ("W0", "b0", "W1", "b1", "W2"):
-        if name not in critic:
-            raise GraphError(f"critic parameter {name!r} missing")
     parents = (h, param(critic, "W0"), param(critic, "b0"),
                param(critic, "W1"), param(critic, "b1"),
                param(critic, "W2"))
@@ -252,8 +240,6 @@ def _lrelu_mask(z: np.ndarray, slope: float) -> np.ndarray:
 def _forward(node: Node) -> np.ndarray:
     op = node.op
     p = node.parents
-    if op == "input":
-        raise GraphError(f"unbound input {node.attrs['name']!r}")
     if op == "constant":
         return node.attrs["value"]
     if op == "param":
@@ -374,7 +360,7 @@ def _backward_node(node: Node) -> None:
     op = node.op
     g = node.grad
     p = node.parents
-    if op in ("input", "constant", "param"):
+    if op in ("constant", "param"):
         return
     if op == "affine":
         x, w = p[0].value, p[1].value
@@ -500,14 +486,13 @@ def _backward_node(node: Node) -> None:
     raise GraphError(f"unknown op {op!r}")
 
 
-def evaluate(root: Node, bindings: dict[str, np.ndarray] | None = None,
-             reset: bool = True) -> np.ndarray:
+def evaluate(root: Node, reset: bool = True) -> np.ndarray:
     """Forward-evaluate the graph and return the root value.
 
     With reset=True (default), cached values of non-constant nodes are
-    cleared first, so repeated calls with changed parameters or bindings
-    recompute.  reset=False computes only nodes whose value is unset,
-    which lets a caller extend an already-evaluated graph.
+    cleared first, so repeated calls with changed parameters recompute.
+    reset=False computes only nodes whose value is unset, which lets a
+    caller extend an already-evaluated graph.
     """
     order = _topo_order(root)
     if reset:
@@ -515,15 +500,6 @@ def evaluate(root: Node, bindings: dict[str, np.ndarray] | None = None,
             if node.op != "constant":
                 node.value = None
             node.grad = None
-    if bindings:
-        bound = set()
-        for node in order:
-            if node.op == "input" and node.attrs["name"] in bindings:
-                node.value = _as_f64(bindings[node.attrs["name"]])
-                bound.add(node.attrs["name"])
-        unknown = set(bindings) - bound
-        if unknown:
-            raise GraphError(f"bindings for absent inputs: {sorted(unknown)}")
     for node in order:
         if node.value is None:
             node.value = _forward(node)

@@ -8,12 +8,12 @@ the excess variance of adaptation data between B and W.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from . import container
 
 BUNDLE_MAGIC = b"ADVB"
 BUNDLE_VERSION = 1
@@ -125,13 +125,6 @@ def estimate_transform(vectors, labels, r, length_norm=True,
     return BackendTransform(mean=mean, lda=lda, length_norm=length_norm)
 
 
-def _class_suff_stats(vectors, labels):
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    groups = [np.asarray(vectors)[labels == c] for c in classes]
-    return groups
-
-
 def plda_train_em(vectors: np.ndarray, labels, iterations: int = 20,
                   return_ll: bool = False):
     """Fit the two-covariance PLDA by EM.
@@ -140,7 +133,8 @@ def plda_train_em(vectors: np.ndarray, labels, iterations: int = 20,
     the within-class covariance is unidentifiable (all singleton classes).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    groups = _class_suff_stats(vectors, labels)
+    labels = np.asarray(labels)
+    groups = [vectors[labels == c] for c in np.unique(labels)]
     if len(groups) < 2:
         raise ValueError("PLDA training needs at least 2 classes")
     if all(g.shape[0] < 2 for g in groups):
@@ -274,62 +268,26 @@ def plda_adapt(model: PldaModel, vectors: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# backend bundle serialization
+# backend bundle: header, meta JSON, five named f64 arrays
 
-
-def _write_arr(f, name, arr):
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    f.write(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
-        f.write(struct.pack("<I", dim))
-    f.write(arr.tobytes())
-
-
-def _read_exact(f, n, what):
-    b = f.read(n)
-    if len(b) != n:
-        raise ValueError(f"truncated bundle while reading {what}")
-    return b
-
-
-def _read_arr(f):
-    (nlen,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-    name = _read_exact(f, nlen, "name").decode("utf-8")
-    (rank,) = struct.unpack("<I", _read_exact(f, 4, "rank"))
-    shape = tuple(struct.unpack("<I", _read_exact(f, 4, "dim"))[0]
-                  for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(f, 8 * count, name), dtype="<f8")
-    return name, data.reshape(shape).astype(np.float64)
+BUNDLE_ARRAYS = ("mean", "lda", "mu", "between", "within")
 
 
 def save_bundle(path, transform: BackendTransform, model: PldaModel) -> None:
     with open(path, "wb") as f:
-        f.write(BUNDLE_MAGIC)
-        f.write(struct.pack("<I", BUNDLE_VERSION))
-        meta = json.dumps({"length_norm": transform.length_norm}).encode()
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        for name, arr in (("mean", transform.mean), ("lda", transform.lda),
-                          ("mu", model.mu), ("between", model.between),
-                          ("within", model.within)):
-            _write_arr(f, name, arr)
+        container.write_header(f, BUNDLE_MAGIC, BUNDLE_VERSION)
+        container.write_json(f, {"length_norm": transform.length_norm})
+        container.write_arrays(f, zip(BUNDLE_ARRAYS, (
+            transform.mean, transform.lda, model.mu, model.between,
+            model.within)))
 
 
 def load_bundle(path):
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != BUNDLE_MAGIC:
-            raise ValueError(f"bad bundle magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != BUNDLE_VERSION:
-            raise ValueError(f"unsupported bundle version {version}")
-        (mlen,) = struct.unpack("<I", _read_exact(f, 4, "meta length"))
-        meta = json.loads(_read_exact(f, mlen, "meta"))
-        arrs = dict(_read_arr(f) for _ in range(5))
+        r = container.Reader(f, "bundle")
+        r.header(BUNDLE_MAGIC, BUNDLE_VERSION)
+        meta = r.json("meta")
+        arrs = r.arrays(len(BUNDLE_ARRAYS), BUNDLE_ARRAYS)
     transform = BackendTransform(mean=arrs["mean"], lda=arrs["lda"],
                                  length_norm=bool(meta["length_norm"]))
     model = PldaModel(mu=arrs["mu"], between=arrs["between"],

@@ -2,30 +2,33 @@
 
 from __future__ import annotations
 
-import sys
+import functools
 
 import click
 
 from .pipeline import ExperimentConfig, cmd_adapt, cmd_backend, \
     cmd_backend_adapt, cmd_eval, cmd_extract, cmd_report, cmd_score, \
-    cmd_synth, cmd_train_base, tag_for
+    cmd_synth, cmd_train_base
 from .trainer import MODES, SCOPES
 
 
-def _load_config(path, out, seed):
-    cfg = ExperimentConfig.load(path)
-    if out is not None:
-        cfg.out_dir = out
-    if seed is not None:
-        cfg.seed = int(seed)
-    return cfg
-
-
-config_opt = click.option("--config", "config_path", required=True,
-                          type=click.Path(exists=True, dir_okay=False))
-out_opt = click.option("--out", default=None, help="override run directory")
-seed_opt = click.option("--seed", default=None, type=int,
-                        help="override global seed")
+def with_config(command):
+    """Give a command the --config, --out and --seed options and call it
+    with the loaded experiment config in their place."""
+    @click.option("--config", "config_path", required=True,
+                  type=click.Path(exists=True, dir_okay=False))
+    @click.option("--out", default=None, help="override run directory")
+    @click.option("--seed", default=None, type=int,
+                  help="override global seed")
+    @functools.wraps(command)
+    def load_and_run(config_path, out, seed, **kwargs):
+        cfg = ExperimentConfig.load(config_path)
+        if out is not None:
+            cfg.out_dir = out
+        if seed is not None:
+            cfg.seed = int(seed)
+        return command(cfg, **kwargs)
+    return load_and_run
 
 
 @click.group()
@@ -34,126 +37,91 @@ def main():
 
 
 @main.command()
-@config_opt
-@out_opt
-@seed_opt
-def synth(config_path, out, seed):
+@with_config
+def synth(cfg):
     """Generate the synthetic corpus, eval set and trial list."""
-    cfg = _load_config(config_path, out, seed)
     result = cmd_synth(cfg)
     for path in result["outputs"]:
         click.echo(path)
 
 
 @main.command("train-base")
-@config_opt
-@out_opt
-@seed_opt
-def train_base(config_path, out, seed):
+@with_config
+def train_base(cfg):
     """Train the source-only baseline model."""
-    cfg = _load_config(config_path, out, seed)
     click.echo(cmd_train_base(cfg))
 
 
 @main.command()
-@config_opt
-@out_opt
-@seed_opt
+@with_config
 @click.option("--mode", type=click.Choice(MODES), default="adv+sup")
 @click.option("--scope", type=click.Choice(SCOPES), default="all")
-def adapt(config_path, out, seed, mode, scope):
+def adapt(cfg, mode, scope):
     """Adapt the baseline checkpoint."""
-    cfg = _load_config(config_path, out, seed)
     click.echo(cmd_adapt(cfg, mode, scope))
 
 
 @main.command()
-@config_opt
-@out_opt
-@seed_opt
+@with_config
 @click.option("--ckpt", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--tag", required=True,
               help="label for the embedding files, e.g. baseline")
-def extract(config_path, out, seed, ckpt, tag):
+def extract(cfg, ckpt, tag):
     """Extract embeddings for all corpus sets from a checkpoint."""
-    cfg = _load_config(config_path, out, seed)
     result = cmd_extract(cfg, ckpt, tag)
     for path in result["outputs"]:
         click.echo(path)
 
 
 @main.command()
-@config_opt
-@out_opt
-@seed_opt
+@with_config
 @click.option("--tag", required=True)
-def backend(config_path, out, seed, tag):
+def backend(cfg, tag):
     """Train the LDA + PLDA backend on the tagged embeddings."""
-    cfg = _load_config(config_path, out, seed)
     click.echo(cmd_backend(cfg, tag))
 
 
 @main.command("backend-adapt")
-@config_opt
-@out_opt
-@seed_opt
+@with_config
 @click.option("--tag", required=True)
 @click.option("--xi", default=None, type=float)
 @click.option("--eta", default=None, type=float)
-def backend_adapt(config_path, out, seed, tag, xi, eta):
+def backend_adapt(cfg, tag, xi, eta):
     """Unsupervised covariance adaptation of the PLDA."""
-    cfg = _load_config(config_path, out, seed)
     click.echo(cmd_backend_adapt(cfg, tag, xi=xi, eta=eta))
 
 
 @main.command()
-@config_opt
-@out_opt
-@seed_opt
+@with_config
 @click.option("--tag", required=True)
 @click.option("--adapted", is_flag=True, default=False)
-def score(config_path, out, seed, tag, adapted):
+def score(cfg, tag, adapted):
     """Score the evaluation trials against a backend bundle."""
-    cfg = _load_config(config_path, out, seed)
     click.echo(cmd_score(cfg, tag, adapted=adapted))
 
 
 @main.command("eval")
-@config_opt
-@out_opt
-@seed_opt
+@with_config
 @click.option("--tag", required=True)
 @click.option("--adapted", is_flag=True, default=False)
-def eval_(config_path, out, seed, tag, adapted):
+def eval_(cfg, tag, adapted):
     """Compute EER and minDCF for a score file."""
-    cfg = _load_config(config_path, out, seed)
     report = cmd_eval(cfg, tag, adapted=adapted)
     click.echo(f"eer_pct={report['eer_pct']:.3f} "
                f"dcf_avg={report['dcf_avg']:.4f}")
 
 
 @main.command()
-@config_opt
-@out_opt
-@seed_opt
-def report(config_path, out, seed):
+@with_config
+def report(cfg):
     """Collect all per-mode reports into a comparison table."""
-    cfg = _load_config(config_path, out, seed)
     rows = cmd_report(cfg)
     header = f"{'system':<24}{'EER%':>8}{'DCF':>8}"
     click.echo(header)
     for tag in sorted(rows):
         r = rows[tag]
         click.echo(f"{tag:<24}{r['eer_pct']:>8.2f}{r['dcf_avg']:>8.3f}")
-
-
-def entry():
-    try:
-        main(standalone_mode=True)
-    except Exception as e:  # pragma: no cover - click handles most errors
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -5,15 +5,18 @@ mean vector, each utterance adds a channel offset and per-frame noise.
 Target-domain frames are additionally passed through a global affine map
 (with an optional second map for a second target language), which gives
 the two domains different marginal distributions that adaptation has to
-close.  Archives are little-endian binary ("XVF1"), manifests TSV.
+close.  Archives are little-endian binary ("XVF1", framed as in
+`container`, with float32 frame records), manifests TSV.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import container
 
 ARCHIVE_MAGIC = b"XVF1"
 ARCHIVE_VERSION = 1
@@ -156,8 +159,7 @@ def generate_corpus(spec: CorpusSpec):
 def write_archive(path, records: dict) -> None:
     """records: utt_id -> (T, m) float32 array."""
     with open(path, "wb") as f:
-        f.write(ARCHIVE_MAGIC)
-        f.write(struct.pack("<I", ARCHIVE_VERSION))
+        container.write_header(f, ARCHIVE_MAGIC, ARCHIVE_VERSION)
         f.write(struct.pack("<Q", len(records)))
         for uid, frames in records.items():
             frames = np.ascontiguousarray(frames, dtype="<f4")
@@ -173,28 +175,16 @@ def write_archive(path, records: dict) -> None:
 def read_archive(path) -> dict:
     records = {}
     with open(path, "rb") as f:
-        def need(n, what):
-            b = f.read(n)
-            if len(b) != n:
-                raise ValueError(
-                    f"truncated archive {path} at byte {f.tell() - len(b)} "
-                    f"while reading {what}")
-            return b
-
-        magic = need(4, "magic")
-        if magic != ARCHIVE_MAGIC:
-            raise ValueError(f"bad archive magic {magic!r}")
-        (version,) = struct.unpack("<I", need(4, "version"))
-        if version != ARCHIVE_VERSION:
-            raise ValueError(f"unsupported archive version {version}")
-        (count,) = struct.unpack("<Q", need(8, "record count"))
+        r = container.Reader(f, "archive")
+        r.header(ARCHIVE_MAGIC, ARCHIVE_VERSION)
+        (count,) = r.unpack("<Q", "record count")
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", need(4, "utt-id length"))
-            uid = need(nlen, "utt-id").decode("utf-8")
+            (nlen,) = r.unpack("<I", "utt-id length")
+            uid = r.take(nlen, "utt-id").decode("utf-8")
             if uid in records:
                 raise ValueError(f"duplicate utt-id {uid!r} in archive")
-            t, m = struct.unpack("<II", need(8, "frame header"))
-            data = np.frombuffer(need(4 * t * m, f"frames of {uid}"),
+            t, m = r.unpack("<II", "frame header")
+            data = np.frombuffer(r.take(4 * t * m, f"frames of {uid}"),
                                  dtype="<f4").reshape(t, m)
             records[uid] = data.astype(np.float32)
     return records

@@ -94,7 +94,8 @@ class ScoreSet:
     def write(self, path):
         with open(path, "w") as f:
             for (e, t), s in self.scores.items():
-                f.write(f"{e} {t} {s:.6f}\n")
+                # repr is the shortest string that reads back exactly
+                f.write(f"{e} {t} {float(s)!r}\n")
 
 
 def score_trials(transform, model, embeddings: dict,
@@ -170,12 +171,6 @@ def min_dcf_from_scores(tgt: np.ndarray, non: np.ndarray,
 def compute_eer(scores: ScoreSet, trials: TrialList) -> float:
     tgt, non = _split_scores(scores, trials)
     return eer_from_scores(tgt, non)
-
-
-def compute_min_dcf(scores: ScoreSet, trials: TrialList,
-                    p_target: float) -> float:
-    tgt, non = _split_scores(scores, trials)
-    return min_dcf_from_scores(tgt, non, p_target)
 
 
 def evaluation_report(scores: ScoreSet, trials: TrialList,

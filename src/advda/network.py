@@ -12,13 +12,13 @@ domain-dependent bias.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Node, ParamSet
 
 CHECKPOINT_MAGIC = b"ADVD"
@@ -45,6 +45,11 @@ class NetworkConfig:
         self.tdnn_contexts = tuple(tuple(c) for c in self.tdnn_contexts)
         self.post_pool_widths = tuple(self.post_pool_widths)
         self.critic_widths = tuple(self.critic_widths)
+        if len(self.critic_widths) != 2:
+            # the input-gradient op behind the gradient penalty is written
+            # for exactly two hidden critic layers
+            raise ValueError(f"critic_widths must have exactly 2 entries, "
+                             f"got {self.critic_widths}")
         if len(self.tdnn_widths) != len(self.tdnn_contexts):
             raise ValueError("tdnn widths and contexts must align")
         if self.embed_dim != self.post_pool_widths[0]:
@@ -52,16 +57,6 @@ class NetworkConfig:
         for ctx in self.tdnn_contexts:
             if tuple(sorted(ctx)) != ctx or any(-o not in ctx for o in ctx):
                 raise ValueError(f"context offsets must be symmetric: {ctx}")
-
-    @classmethod
-    def paper_scale(cls, frame_dim=30, n_source_classes=12170,
-                    n_target_classes=100, **kw):
-        return cls(frame_dim=frame_dim,
-                   tdnn_widths=(512, 512, 512, 512, 1500),
-                   embed_dim=512, post_pool_widths=(512, 512),
-                   critic_widths=(512, 512),
-                   n_source_classes=n_source_classes,
-                   n_target_classes=n_target_classes, **kw)
 
 
 @dataclass
@@ -119,7 +114,7 @@ def init_network(config: NetworkConfig, seed: int) -> NetworkParams:
 
     critic = ParamSet()
     dims = [config.embed_dim, *config.critic_widths, 1]
-    for i in range(3):
+    for i in range(len(dims) - 1):
         critic.add(f"W{i}", _glorot(rng, dims[i + 1], dims[i]))
         critic.add(f"b{i}", np.zeros(dims[i + 1]))
     return NetworkParams(config, ext, heads, critic)
@@ -153,46 +148,14 @@ def stats_pool(frames: np.ndarray) -> np.ndarray:
 
 
 def build_embedding(params: NetworkParams, frames: Node, bit: int,
-                    training: bool, use_bit: bool | None = None,
-                    n_frames: int | None = None) -> Node:
+                    training: bool, use_bit: bool | None = None, *,
+                    n_frames: int) -> Node:
     """Graph from a (T, m) frame node to the (1, d) embedding node.
 
-    When the network was built with the domain-bit input, the bit column
-    is always appended (the weight shapes require it); `use_bit=False`
-    forces its value to zero so the embedding is unconditioned.
-    `n_frames` is required to size the column.
+    A batch of one utterance; see `build_embedding_batch`.
     """
-    cfg = params.config
-    ext = params.extractor
-    if use_bit is None:
-        use_bit = cfg.use_domain_bit
-    if bit not in (0, 1):
-        raise ValueError("domain bit must be 0 or 1")
-    has_col = cfg.use_domain_bit
-    value = float(bit) if use_bit else 0.0
-
-    def bit_col(rows):
-        return ad.const(np.full((rows, 1), value))
-
-    x = frames
-    rows = n_frames
-    if has_col and rows is None:
-        raise ValueError("n_frames required for the domain-bit column")
-    for i, ctx in enumerate(cfg.tdnn_contexts):
-        x = ad.splice(x, ctx)
-        if has_col:
-            x = ad.concat([x, bit_col(rows)], axis=1)
-        x = ad.affine(x, ad.param(ext, f"tdnn{i}.W"),
-                      ad.param(ext, f"tdnn{i}.b"))
-        x = ad.relu(x)
-        x = ad.batch_norm(x, ad.param(ext, f"tdnn{i}.gamma"),
-                          ad.param(ext, f"tdnn{i}.beta"), ext,
-                          f"tdnn{i}.rmean", f"tdnn{i}.rvar", training,
-                          cfg.bn_momentum, cfg.bn_eps)
-    x = ad.stats_pool(x)
-    if has_col:
-        x = ad.concat([x, bit_col(1)], axis=1)
-    return ad.affine(x, ad.param(ext, "embed.W"), ad.param(ext, "embed.b"))
+    return build_embedding_batch(params, [(frames, n_frames, bit)], training,
+                                 use_bit=use_bit)
 
 
 def build_embedding_batch(params: NetworkParams, utterances,
@@ -200,10 +163,14 @@ def build_embedding_batch(params: NetworkParams, utterances,
     """Graph from several utterances to their (n, d) embedding rows.
 
     `utterances` is a sequence of (frames node, frame count, bit)
-    triples.  Unlike per-utterance graphs, the frame-level layers run on
-    the concatenated minibatch, so training-mode batch norm uses
-    statistics over the whole minibatch (mixing domains when both are
-    present) instead of per-utterance statistics.
+    triples.  The frame-level layers run on the concatenated minibatch,
+    so training-mode batch norm uses statistics over the whole minibatch
+    (mixing domains when both are present).  A batch of one builds no
+    per-utterance slices or concatenations.
+
+    When the network was built with the domain-bit input, the bit column
+    is always appended (the weight shapes require it); `use_bit=False`
+    forces its value to zero so the embedding is unconditioned.
     """
     cfg = params.config
     ext = params.extractor
@@ -221,24 +188,26 @@ def build_embedding_batch(params: NetworkParams, utterances,
         bits.append(float(bit) if use_bit else 0.0)
         frame_nodes.append(frames)
 
-    def bit_col(per_row_counts):
-        col = np.concatenate([np.full(n, b) for n, b in
-                              zip(per_row_counts, bits)])
-        return ad.const(col[:, None])
+    # bit columns for frame rows and for pooled rows, shared by the layers
+    frame_bits = np.repeat(bits, counts)[:, None]
+    utt_bits = np.asarray(bits)[:, None]
 
     def per_utterance(x, fn):
+        if len(counts) == 1:
+            return fn(x)
         start = 0
         parts = []
         for n in counts:
             parts.append(fn(ad.slice_rows(x, start, start + n)))
             start += n
-        return parts
+        return ad.concat(parts, axis=0)
 
-    x = ad.concat(frame_nodes, axis=0)
+    x = frame_nodes[0] if len(frame_nodes) == 1 else \
+        ad.concat(frame_nodes, axis=0)
     for i, ctx in enumerate(cfg.tdnn_contexts):
-        x = ad.concat(per_utterance(x, lambda u: ad.splice(u, ctx)), axis=0)
+        x = per_utterance(x, lambda u: ad.splice(u, ctx))
         if cfg.use_domain_bit:
-            x = ad.concat([x, bit_col(counts)], axis=1)
+            x = ad.concat([x, ad.const(frame_bits)], axis=1)
         x = ad.affine(x, ad.param(ext, f"tdnn{i}.W"),
                       ad.param(ext, f"tdnn{i}.b"))
         x = ad.relu(x)
@@ -246,17 +215,15 @@ def build_embedding_batch(params: NetworkParams, utterances,
                           ad.param(ext, f"tdnn{i}.beta"), ext,
                           f"tdnn{i}.rmean", f"tdnn{i}.rvar", training,
                           cfg.bn_momentum, cfg.bn_eps)
-    x = ad.concat(per_utterance(x, ad.stats_pool), axis=0)
+    x = per_utterance(x, ad.stats_pool)
     if cfg.use_domain_bit:
-        x = ad.concat([x, bit_col([1] * len(counts))], axis=1)
+        x = ad.concat([x, ad.const(utt_bits)], axis=1)
     return ad.affine(x, ad.param(ext, "embed.W"), ad.param(ext, "embed.b"))
 
 
-def build_classifier(params: NetworkParams, h: Node, head: str,
+def classifier_trunk(params: NetworkParams, h: Node,
                      training: bool) -> Node:
-    """Continue the network from embeddings (n, d) to log-posteriors."""
-    if head not in ("source", "target"):
-        raise ValueError(f"unknown head {head!r}")
+    """Post-pool layers shared by both heads, from embeddings (n, d)."""
     cfg = params.config
     hp = params.heads
     x = ad.relu(h)
@@ -266,13 +233,26 @@ def build_classifier(params: NetworkParams, h: Node, head: str,
                       cfg.bn_momentum, cfg.bn_eps)
     x = ad.affine(x, ad.param(hp, "post1.W"), ad.param(hp, "post1.b"))
     x = ad.relu(x)
-    x = ad.batch_norm(x, ad.param(hp, "post1.gamma"),
-                      ad.param(hp, "post1.beta"), hp,
-                      "post1.rmean", "post1.rvar", training,
-                      cfg.bn_momentum, cfg.bn_eps)
-    x = ad.affine(x, ad.param(hp, f"head_{head}.W"),
-                  ad.param(hp, f"head_{head}.b"))
-    return ad.log_softmax(x)
+    return ad.batch_norm(x, ad.param(hp, "post1.gamma"),
+                         ad.param(hp, "post1.beta"), hp,
+                         "post1.rmean", "post1.rvar", training,
+                         cfg.bn_momentum, cfg.bn_eps)
+
+
+def classifier_head(params: NetworkParams, x: Node, head: str) -> Node:
+    """Speaker logits of the source or target head from trunk output."""
+    if head not in ("source", "target"):
+        raise ValueError(f"unknown head {head!r}")
+    hp = params.heads
+    return ad.affine(x, ad.param(hp, f"head_{head}.W"),
+                     ad.param(hp, f"head_{head}.b"))
+
+
+def build_classifier(params: NetworkParams, h: Node, head: str,
+                     training: bool) -> Node:
+    """Continue the network from embeddings (n, d) to log-posteriors."""
+    return ad.log_softmax(classifier_head(
+        params, classifier_trunk(params, h, training), head))
 
 
 def build_critic(params: NetworkParams, h: Node) -> Node:
@@ -325,77 +305,35 @@ def cross_entropy_loss(logp: np.ndarray, label: int,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, config JSON, named f64 blobs
+# checkpoint format: header, config JSON, u32 count, named f64 arrays
 
 
-def _write_blob(buf, name: str, arr: np.ndarray):
-    nb = name.encode("utf-8")
-    buf.write(struct.pack("<I", len(nb)))
-    buf.write(nb)
-    buf.write(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
-        buf.write(struct.pack("<I", dim))
-    buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_exact(buf, n, what):
-    b = buf.read(n)
-    if len(b) != n:
-        raise ValueError(f"truncated checkpoint while reading {what}")
-    return b
-
-
-def _read_blob(buf):
-    (nlen,) = struct.unpack("<I", _read_exact(buf, 4, "name length"))
-    name = _read_exact(buf, nlen, "name").decode("utf-8")
-    (rank,) = struct.unpack("<I", _read_exact(buf, 4, "rank"))
-    shape = tuple(struct.unpack("<I", _read_exact(buf, 4, "dim"))[0]
-                  for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(buf, 8 * count, f"data of {name}"),
-                         dtype="<f8").reshape(shape)
-    return name, data.astype(np.float64)
+def _param_sets(params: NetworkParams):
+    return {"extractor": params.extractor, "heads": params.heads,
+            "critic": params.critic}
 
 
 def save_checkpoint(path, params: NetworkParams) -> None:
+    arrays = [(f"{prefix}/{name}", ps.value(name))
+              for prefix, ps in _param_sets(params).items()
+              for name in ps.names()]
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg = json.dumps(asdict(params.config)).encode("utf-8")
-        f.write(struct.pack("<I", len(cfg)))
-        f.write(cfg)
-        sets = [("extractor", params.extractor), ("heads", params.heads),
-                ("critic", params.critic)]
-        n_blobs = sum(len(ps.names()) for _, ps in sets)
-        f.write(struct.pack("<I", n_blobs))
-        for prefix, ps in sets:
-            for name in ps.names():
-                _write_blob(f, f"{prefix}/{name}", ps.value(name))
+        container.write_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        container.write_json(f, asdict(params.config))
+        f.write(struct.pack("<I", len(arrays)))
+        container.write_arrays(f, arrays)
 
 
 def load_checkpoint(path) -> NetworkParams:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        config = NetworkConfig(**json.loads(_read_exact(f, clen, "config")))
-        (n_blobs,) = struct.unpack("<I", _read_exact(f, 4, "blob count"))
-        template = init_network(config, seed=0)
-        sets = {"extractor": template.extractor, "heads": template.heads,
-                "critic": template.critic}
-        seen = set()
-        for _ in range(n_blobs):
-            name, data = _read_blob(f)
-            prefix, _, pname = name.partition("/")
-            if prefix not in sets or pname not in sets[prefix]:
-                raise ValueError(f"unknown checkpoint parameter {name!r}")
-            sets[prefix].set_value(pname, data)
-            seen.add(name)
-        expected = {f"{p}/{n}" for p, ps in sets.items() for n in ps.names()}
-        if seen != expected:
-            raise ValueError("checkpoint is missing parameters")
+        r = container.Reader(f, "checkpoint")
+        r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        template = init_network(NetworkConfig(**r.json("config")), seed=0)
+        sets = _param_sets(template)
+        (count,) = r.unpack("<I", "array count")
+        arrays = r.arrays(count, [f"{p}/{n}" for p, ps in sets.items()
+                                  for n in ps.names()])
+    for name, data in arrays.items():
+        prefix, _, pname = name.partition("/")
+        sets[prefix].set_value(pname, data)
     return template

@@ -131,19 +131,14 @@ class ExperimentConfig:
             out.trials = _strict(TrialsSection, data["trials"], "trials")
         if "priors" in data:
             out.priors = tuple(data["priors"])
-        for section in ("network", "train_base", "train_adapt"):
+        # stored as override dicts; building the config once here
+        # rejects bad keys and values at load
+        for section, section_cls in (("network", net.NetworkConfig),
+                                     ("train_base", tr.TrainConfig),
+                                     ("train_adapt", tr.TrainConfig)):
             if section in data:
-                value = data[section]
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{section}: expected an object")
-                out_cls = net.NetworkConfig if section == "network" \
-                    else tr.TrainConfig
-                allowed_keys = {f.name for f in dataclasses.fields(out_cls)}
-                unknown = set(value) - allowed_keys
-                if unknown:
-                    raise ConfigError(
-                        f"{section}: unknown keys {sorted(unknown)}")
-                setattr(out, section, dict(value))
+                _strict(section_cls, data[section], section)
+                setattr(out, section, dict(data[section]))
         return out
 
     @classmethod
@@ -152,11 +147,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["corpus"] = asdict(self.corpus)
-        d["backend"] = asdict(self.backend)
-        d["trials"] = asdict(self.trials)
-        return d
+        return asdict(self)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -252,9 +243,13 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
         for i in range(len(utts)):
             for j in range(i + 1, len(utts)):
                 trials.append(mt.Trial(utts[i], utts[j], True))
-    n_non = nontarget_per_target * len(trials)
+    wanted = nontarget_per_target * len(trials)
+    n_non = wanted
     rng = np.random.default_rng([seed, 99])
     speakers = sorted(by_speaker)
+    if n_non > 0 and len(speakers) < 2:
+        raise ValueError(f"nontarget trials need at least 2 eval speakers, "
+                         f"got {len(speakers)}")
     seen = {(t.enroll, t.test) for t in trials}
     attempts = 0
     while n_non > 0 and attempts < 200000:
@@ -268,6 +263,11 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
             trials.append(mt.Trial(u1, u2, False))
             n_non -= 1
         attempts += 1
+    if n_non > 0:
+        raise ValueError(
+            f"trials.nontarget_per_target={nontarget_per_target} asks for "
+            f"{wanted} nontarget trials, but {attempts} draws found only "
+            f"{wanted - n_non} distinct pairs; lower it or add eval speakers")
     return mt.TrialList(trials)
 
 

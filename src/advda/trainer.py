@@ -146,6 +146,13 @@ class MinibatchSampler:
 # loss building blocks
 
 
+def critic_gap_graph(params: NetworkParams, hs: ad.Node,
+                     ht: ad.Node) -> ad.Node:
+    """Mean critic output over source rows minus mean over target rows."""
+    return ad.sub(ad.mean(net.build_critic(params, hs)),
+                  ad.mean(net.build_critic(params, ht)))
+
+
 def wasserstein_loss(params: NetworkParams, hs: np.ndarray,
                      ht: np.ndarray) -> float:
     """Mean critic output over source minus mean over target."""
@@ -153,9 +160,8 @@ def wasserstein_loss(params: NetworkParams, hs: np.ndarray,
     ht = np.asarray(ht, dtype=np.float64)
     if hs.shape[0] < 1 or ht.shape[0] < 1:
         raise ValueError("wasserstein loss needs non-empty batches")
-    node = ad.sub(ad.mean(net.build_critic(params, ad.const(hs))),
-                  ad.mean(net.build_critic(params, ad.const(ht))))
-    return float(ad.evaluate(node))
+    return float(ad.evaluate(critic_gap_graph(params, ad.const(hs),
+                                              ad.const(ht))))
 
 
 def sample_interpolates(hs: np.ndarray, ht: np.ndarray, rng) -> np.ndarray:
@@ -197,9 +203,7 @@ def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
     """
     interp = sample_interpolates(hs, ht, rng)
     hhat = np.concatenate([hs, ht, interp], axis=0)
-    hs_node, ht_node = ad.const(hs), ad.const(ht)
-    l_wd = ad.sub(ad.mean(net.build_critic(params, hs_node)),
-                  ad.mean(net.build_critic(params, ht_node)))
+    l_wd = critic_gap_graph(params, ad.const(hs), ad.const(ht))
     l_grad = gradient_penalty_graph(params, ad.const(hhat), hhat.shape[0])
     objective = ad.sub(l_wd, ad.scale(l_grad, cfg.gamma))
     ad.evaluate(objective)
@@ -259,22 +263,21 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
         trunk_in = ad.concat([hs_node, ht_node], axis=0)
     else:
         trunk_in = hs_node
-    trunk = _classifier_trunk(params, trunk_in)
-    logp_s = ad.log_softmax(_head(params, ad.slice_rows(trunk, 0, ns),
-                                  "source"))
+    trunk = net.classifier_trunk(params, trunk_in, training=True)
+    logp_s = ad.log_softmax(net.classifier_head(
+        params, ad.slice_rows(trunk, 0, ns), "source"))
     ce_s = ad.cross_entropy(logp_s, src_labels, ls_norm)
     terms = [ad.scale(ce_s, cfg.source_loss_weight)]
     ce_t_node = None
     if classify_target:
-        logp_t = ad.log_softmax(_head(params, ad.slice_rows(trunk, ns, ns + nt),
-                                      "target"))
+        logp_t = ad.log_softmax(net.classifier_head(
+            params, ad.slice_rows(trunk, ns, ns + nt), "target"))
         ce_t_node = ad.cross_entropy(logp_t, [it.label for it in batch.target],
                                      lt_norm)
         terms.append(ad.scale(ce_t_node, cfg.target_loss_weight))
     l_wd_node = None
     if cfg.adversarial and not warmup:
-        l_wd_node = ad.sub(ad.mean(net.build_critic(params, hs_node)),
-                           ad.mean(net.build_critic(params, ht_node)))
+        l_wd_node = critic_gap_graph(params, hs_node, ht_node)
         terms.append(ad.scale(l_wd_node, cfg.delta))
     loss = terms[0]
     for t in terms[1:]:
@@ -291,27 +294,6 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
     }
 
 
-def _classifier_trunk(params: NetworkParams, h: ad.Node) -> ad.Node:
-    cfg = params.config
-    hp = params.heads
-    x = ad.relu(h)
-    x = ad.batch_norm(x, ad.param(hp, "post0.gamma"),
-                      ad.param(hp, "post0.beta"), hp, "post0.rmean",
-                      "post0.rvar", True, cfg.bn_momentum, cfg.bn_eps)
-    x = ad.affine(x, ad.param(hp, "post1.W"), ad.param(hp, "post1.b"))
-    x = ad.relu(x)
-    x = ad.batch_norm(x, ad.param(hp, "post1.gamma"),
-                      ad.param(hp, "post1.beta"), hp, "post1.rmean",
-                      "post1.rvar", True, cfg.bn_momentum, cfg.bn_eps)
-    return x
-
-
-def _head(params: NetworkParams, x: ad.Node, head: str) -> ad.Node:
-    hp = params.heads
-    return ad.affine(x, ad.param(hp, f"head_{head}.W"),
-                     ad.param(hp, f"head_{head}.b"))
-
-
 # ---------------------------------------------------------------------------
 # pseudo-labels
 
@@ -323,37 +305,22 @@ def pseudo_label(embeddings: np.ndarray, stop_threshold: float) -> np.ndarray:
     least `stop_threshold`; labels are dense cluster indices ordered by
     first member.
     """
+    # imported here: the module costs import time and memory that runs
+    # without pseudo-labels should not pay
+    from scipy.cluster.hierarchy import fcluster, linkage
+
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("pseudo-labeling needs at least 2 embeddings")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0):
+    if np.any(np.linalg.norm(x, axis=1) == 0):
         raise ValueError("cannot cosine-cluster a zero embedding")
-    xn = x / norms
-    sim = xn @ xn.T
-    clusters = {i: [i] for i in range(x.shape[0])}
-    # sim[i, j] holds the average pairwise similarity between clusters i, j
-    active = list(clusters)
-    while len(active) > 1:
-        best, bi, bj = -np.inf, None, None
-        for a in range(len(active)):
-            i = active[a]
-            row = sim[i, active[a + 1:]]
-            if row.size and row.max() > best:
-                k = int(row.argmax())
-                best, bi, bj = row.max(), i, active[a + 1 + k]
-        if best < stop_threshold:
-            break
-        wi, wj = len(clusters[bi]), len(clusters[bj])
-        sim[bi, :] = (wi * sim[bi, :] + wj * sim[bj, :]) / (wi + wj)
-        sim[:, bi] = sim[bi, :]
-        clusters[bi].extend(clusters[bj])
-        del clusters[bj]
-        active.remove(bj)
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    for idx, i in enumerate(sorted(clusters, key=lambda c: min(clusters[c]))):
-        labels[clusters[i]] = idx
-    return labels
+    # average cosine distance is 1 - average cosine similarity, so cutting
+    # the tree at 1 - threshold keeps exactly the merges at or above it
+    z = linkage(x, "average", metric="cosine")
+    clusters = fcluster(z, 1.0 - stop_threshold, "distance")
+    index = {}
+    return np.array([index.setdefault(c, len(index)) for c in clusters],
+                    dtype=np.int64)
 
 
 def pseudo_label_utterances(params: NetworkParams, feats: dict,
@@ -397,6 +364,11 @@ def train(params: NetworkParams, cfg: TrainConfig,
     """
     if cfg.mode == "adv+lan+sup" and not params.config.use_domain_bit:
         raise ValueError("mode adv+lan+sup needs a domain-bit network")
+    if cfg.adversarial and cfg.source_batch != cfg.target_batch:
+        # interpolates for the gradient penalty pair source and target rows
+        raise ValueError(
+            f"mode {cfg.mode!r} needs source_batch == target_batch, got "
+            f"{cfg.source_batch} and {cfg.target_batch}")
     if cfg.supervised_target and target_labels is None:
         raise ValueError(
             f"mode {cfg.mode!r} requires target labels (true or pseudo)")
@@ -477,8 +449,8 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
                 cfg.segment_frames, rng), source_labels[u], 0)
                 for u in chosen]
             hs_node = _batch_embedding_nodes(params, items, False, True)
-            trunk = _classifier_trunk(params, hs_node)
-            logp = ad.log_softmax(_head(params, trunk, "source"))
+            logp = net.build_classifier(params, hs_node, "source",
+                                        training=True)
             loss = ad.cross_entropy(logp, [it.label for it in items], ls_norm)
             ad.evaluate(loss)
             g_heads = ad.backward(loss, params.heads)

@@ -119,16 +119,16 @@ def test_criterion_1_gradient_correctness(rng):
         hs_node, ht_node = tr._domain_embedding_nodes(params, batch,
                                                       False, True)
         ns, nt = len(batch.source), len(batch.target)
-        trunk = tr._classifier_trunk(params, ad.concat([hs_node, ht_node],
-                                                       axis=0))
+        trunk = net.classifier_trunk(
+            params, ad.concat([hs_node, ht_node], axis=0), training=True)
         ce_s = ad.cross_entropy(
-            ad.log_softmax(tr._head(params, ad.slice_rows(trunk, 0, ns),
-                                    "source")),
+            ad.log_softmax(net.classifier_head(
+                params, ad.slice_rows(trunk, 0, ns), "source")),
             [it.label for it in batch.source],
             np.log(params.config.n_source_classes))
         ce_t = ad.cross_entropy(
-            ad.log_softmax(tr._head(params, ad.slice_rows(trunk, ns, ns + nt),
-                                    "target")),
+            ad.log_softmax(net.classifier_head(
+                params, ad.slice_rows(trunk, ns, ns + nt), "target")),
             [it.label for it in batch.target],
             np.log(params.config.n_target_classes))
         l_c = ad.add(ad.scale(ce_s, cfg.source_loss_weight),

@@ -62,11 +62,6 @@ def test_three_layer_forward_matches_manual(rng):
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
-def test_unbound_input_raises():
-    with pytest.raises(GraphError, match="unbound input"):
-        ad.evaluate(ad.mean(ad.inp("x")))
-
-
 def test_non_finite_detected():
     with pytest.raises(GraphError, match="non-finite"):
         ad.evaluate(ad.sqrt(ad.const(np.array([-1.0]))))

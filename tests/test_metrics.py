@@ -168,13 +168,26 @@ def test_score_set_rejects_non_finite():
 
 
 def test_score_set_roundtrip(tmp_path, rng):
-    scores = ScoreSet({("e1", "t1"): 1.234567891, ("e2", "t2"): -0.5})
+    values = [1.234567891, -0.5, *rng.normal(scale=30.0, size=50)]
+    scores = ScoreSet({(f"e{i}", f"t{i}"): float(v)
+                       for i, v in enumerate(values)})
     path = tmp_path / "scores.txt"
     scores.write(path)
-    back = ScoreSet.read(path)
-    # written at 6 decimals
-    assert back[("e1", "t1")] == pytest.approx(1.234568, abs=1e-9)
-    assert back[("e2", "t2")] == -0.5
+    assert ScoreSet.read(path).scores == scores.scores
+
+
+def test_report_from_disk_equals_in_memory(tmp_path):
+    # a nontarget 1e-9 above a target: a file rounded to a few decimals
+    # ties them, which moves the EER from 1/3 to 1/6
+    values = [1.0, 2.0, 3.0, -1.0, 0.0, 1.0 + 1e-9]
+    trials = TrialList([Trial(f"e{i}", f"t{i}", i < 3) for i in range(6)])
+    scores = ScoreSet({(t.enroll, t.test): v
+                       for t, v in zip(trials, values)})
+    path = tmp_path / "scores.txt"
+    scores.write(path)
+    from_disk = mx.evaluation_report(ScoreSet.read(path), trials)
+    assert from_disk == mx.evaluation_report(scores, trials)
+    assert from_disk["eer_pct"] == pytest.approx(100.0 / 3)
 
 
 def test_score_set_duplicate_line(tmp_path):

@@ -19,6 +19,9 @@ def small_config(**kw):
 def test_config_validation():
     with pytest.raises(ValueError, match="post-pool"):
         small_config(embed_dim=9)
+    for widths in ((8,), (8, 8, 8)):
+        with pytest.raises(ValueError, match="critic_widths"):
+            small_config(critic_widths=widths)
     with pytest.raises(ValueError, match="symmetric"):
         small_config(tdnn_contexts=((-1, 0, 2), (0,), (0,)))
 
@@ -174,6 +177,31 @@ def test_embedding_layer_by_layer_oracle(rng):
 
     got = net.extract_embedding(params, frames)
     np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+def graph_ops(root):
+    seen, stack, ops = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        ops.append(node.op)
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return sorted(ops)
+
+
+@pytest.mark.parametrize("domain_bit", [False, True])
+def test_embedding_is_batch_of_one(rng, domain_bit):
+    params = net.init_network(small_config(use_domain_bit=domain_bit),
+                              seed=3)
+    frames = ad.const(rng.normal(size=(9, 4)))
+    single = net.build_embedding(params, frames, 1, False, n_frames=9)
+    batch = net.build_embedding_batch(params, [(frames, 9, 1)], False)
+    assert graph_ops(single) == graph_ops(batch)
+    # one utterance needs no per-utterance slicing
+    assert "slice-rows" not in graph_ops(batch)
+    assert ad.evaluate(single).tobytes() == ad.evaluate(batch).tobytes()
 
 
 def test_embedding_frame_dim_checked():

@@ -92,6 +92,16 @@ def test_config_rejects_unknown_section_key():
         ExperimentConfig.from_dict({"train_adapt": {"lr": 0.1}})
 
 
+def test_config_rejects_bad_section_values():
+    with pytest.raises(ConfigError, match="network.*critic_widths"):
+        ExperimentConfig.from_dict({"network": {"critic_widths": [8]}})
+    with pytest.raises(ConfigError, match="train_base.*mode"):
+        ExperimentConfig.from_dict({"train_base": {"mode": "semi"}})
+    with pytest.raises(ConfigError, match="train_adapt.*warmup"):
+        ExperimentConfig.from_dict(
+            {"train_adapt": {"epochs": 2, "warmup_epochs": 2}})
+
+
 def test_config_rejects_non_object_section():
     with pytest.raises(ConfigError, match="expected an object"):
         ExperimentConfig.from_dict({"backend": 7})
@@ -156,6 +166,22 @@ def test_make_trials_deterministic():
     t1 = pl.make_trials(records, 3, seed=7)
     t2 = pl.make_trials(records, 3, seed=7)
     assert list(t1) == list(t2)
+
+
+def test_make_trials_never_comes_up_short():
+    # 150 x 12 at 25 nontargets per target needs more distinct pairs than
+    # the draw budget finds
+    records = [cp.ManifestRecord(f"u{s}-{u}", f"spk{s}", "target", "l", 20)
+               for s in range(150) for u in range(12)]
+    with pytest.raises(ValueError, match="trials.nontarget_per_target"):
+        pl.make_trials(records, nontarget_per_target=25, seed=0)
+
+
+def test_make_trials_single_speaker():
+    records = [cp.ManifestRecord(f"u{u}", "spk0", "target", "l", 20)
+               for u in range(3)]
+    with pytest.raises(ValueError, match="at least 2 eval speakers, got 1"):
+        pl.make_trials(records, nontarget_per_target=2, seed=0)
 
 
 # ---------------------------------------------------------------------------

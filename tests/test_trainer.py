@@ -502,6 +502,20 @@ def test_train_supervised_needs_labels(rng):
         tr.train(params, cfg, sf, sl, tf, None)
 
 
+def test_train_adversarial_needs_equal_batches(rng):
+    params, cfg, sf, sl, tf, tl = train_setup(rng, source_batch=4,
+                                              target_batch=3)
+    before = param_bytes(params.critic) + param_bytes(params.extractor)
+    with pytest.raises(ValueError, match="source_batch == target_batch"):
+        tr.train(params, cfg, sf, sl, tf, tl)
+    assert param_bytes(params.critic) + param_bytes(params.extractor) == \
+        before
+    # without a critic there is nothing to pair, so sup mode trains
+    params, cfg, sf, sl, tf, tl = train_setup(rng, mode="sup",
+                                              source_batch=4, target_batch=3)
+    tr.train(params, cfg, sf, sl, tf, tl)
+
+
 def test_train_language_mode_needs_domain_bit(rng):
     params, cfg, sf, sl, tf, tl = train_setup(rng)
     cfg = tiny_train_config(mode="adv+lan+sup", epochs=2, warmup_epochs=1)
