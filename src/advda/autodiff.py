@@ -2,7 +2,10 @@
 
 Small computation-graph engine: build a graph of `Node`s with the
 constructor functions below, run `evaluate` to get values and `backward`
-to get parameter gradients.  Second-order support is limited to the
+to get parameter gradients of one or several ParamSets in one pass.
+`splice` and `stats-pool` work on a batch of variable-length segments
+(utterances) stacked along the rows, so a whole minibatch is one graph
+of a few dozen nodes.  Second-order support is limited to the
 critic input-gradient construction (`critic_input_gradient`), which is
 all the gradient-penalty loss needs.
 """
@@ -70,7 +73,7 @@ class ParamSet:
 class Node:
     """One graph operation with cached value and gradient slot."""
 
-    __slots__ = ("op", "parents", "attrs", "value", "grad", "cache")
+    __slots__ = ("op", "parents", "attrs", "value", "grad", "cache", "live")
 
     def __init__(self, op: str, parents=(), **attrs):
         self.op = op
@@ -79,6 +82,8 @@ class Node:
         self.value: np.ndarray | None = None
         self.grad: np.ndarray | None = None
         self.cache = None
+        # set by `backward`: the node leads to a parameter it reports
+        self.live = False
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +132,43 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: ParamSet,
                 eps=float(eps))
 
 
-def stats_pool(x: Node, var_floor: float = 1e-10) -> Node:
-    """(T, F) frames -> (1, 2F) concatenated mean and std over time."""
-    return Node("stats-pool", (x,), var_floor=float(var_floor))
+def _counts(counts):
+    if counts is None:
+        return None
+    counts = tuple(int(n) for n in counts)
+    if not counts or min(counts) < 1:
+        raise GraphError(f"segment frame counts must be positive: {counts}")
+    return counts
 
 
-def splice(x: Node, offsets) -> Node:
-    """Temporal context splicing with edges clamped to the boundary row."""
-    return Node("splice", (x,), offsets=tuple(int(o) for o in offsets))
+def _segment_counts(node: Node, x: np.ndarray) -> tuple:
+    """Frame count of each segment of `x`; one segment when unset."""
+    counts = node.attrs["counts"] or (x.shape[0],)
+    if x.ndim != 2 or sum(counts) != x.shape[0]:
+        raise GraphError(f"{node.op} segments {sum(counts)} rows in total, "
+                         f"input has shape {x.shape}")
+    return counts
+
+
+def stats_pool(x: Node, var_floor: float = 1e-10, counts=None) -> Node:
+    """(T, F) frames -> (n, 2F) mean and std over time of each segment.
+
+    `counts` gives the frame counts of the n segments stacked in x's
+    rows; None means one segment of all T rows.
+    """
+    return Node("stats-pool", (x,), var_floor=float(var_floor),
+                counts=_counts(counts))
+
+
+def splice(x: Node, offsets, counts=None) -> Node:
+    """Temporal context splicing, clamped at the edges of each segment.
+
+    Row t of the output concatenates rows t+o of x for each offset o,
+    each clamped to the first and last row of t's segment.  `counts`
+    gives the segment frame counts as for `stats_pool`.
+    """
+    return Node("splice", (x,), offsets=tuple(int(o) for o in offsets),
+                counts=_counts(counts))
 
 
 def slice_rows(x: Node, start: int, stop: int) -> Node:
@@ -281,20 +315,35 @@ def _forward(node: Node) -> np.ndarray:
         x = p[0].value
         if x.ndim != 2 or x.shape[0] < 1:
             raise GraphError("stats-pool needs a non-empty (T, F) matrix")
-        m = x.mean(axis=0)
-        var = x.var(axis=0) + node.attrs["var_floor"]
-        s = np.sqrt(var)
-        node.cache = (m, s)
-        return np.concatenate([m, s])[None, :]
+        counts = _segment_counts(node, x)
+        f = x.shape[1]
+        out = np.empty((len(counts), 2 * f))
+        start = 0
+        # one mean/var call per segment: a reduceat over all rows would
+        # sum in another order and change the last bits
+        for i, n in enumerate(counts):
+            seg = x[start:start + n]
+            out[i, :f] = seg.mean(axis=0)
+            out[i, f:] = np.sqrt(seg.var(axis=0) + node.attrs["var_floor"])
+            start += n
+        node.cache = counts
+        return out
     if op == "splice":
         x = p[0].value
-        t = x.shape[0]
+        counts = _segment_counts(node, x)
         offsets = node.attrs["offsets"]
-        if t <= max(abs(o) for o in offsets):
-            raise GraphError(f"sequence of {t} frames shorter than context span")
-        idx = [np.clip(np.arange(t) + o, 0, t - 1) for o in offsets]
+        span = max(abs(o) for o in offsets)
+        short = [n for n in counts if n <= span]
+        if short:
+            raise GraphError(f"sequence of {short[0]} frames shorter than "
+                             f"context span {offsets}")
+        # (T, K) source row of every output row and offset
+        starts = np.repeat(np.cumsum((0,) + counts[:-1]), counts)
+        ends = starts + np.repeat(counts, counts) - 1
+        idx = np.clip(np.arange(x.shape[0])[:, None] + offsets,
+                      starts[:, None], ends[:, None])
         node.cache = idx
-        return np.concatenate([x[i] for i in idx], axis=1)
+        return x[idx].reshape(x.shape[0], -1)
     if op == "slice-rows":
         return p[0].value[node.attrs["start"]:node.attrs["stop"]]
     if op == "mean":
@@ -351,9 +400,28 @@ def _forward(node: Node) -> np.ndarray:
 
 
 def _accum(node: Node, g: np.ndarray) -> None:
+    if not node.live:
+        return
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
     node.grad += g
+
+
+def _scatter_rows(dx: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """dx[idx[r]] += g[r] for r in order, like `np.add.at`, but in passes.
+
+    Pass m adds the rows that are the m-th to reach their target row, so
+    each pass has distinct targets and is one fancy-indexed add.  `idx`
+    must be non-decreasing; the additions into each row happen in the
+    same order as `np.add.at`'s, so the sums are the same bits.  It is
+    here for speed: `np.add.at` adds into a 2-D array one row at a time,
+    and using it here made `adapt_s` 10-15% slower in the benchmark.
+    """
+    rows = np.arange(idx.shape[0])
+    rank = rows - np.searchsorted(idx, idx, side="left")
+    for m in range(int(rank.max()) + 1):
+        sel = rows[rank == m]
+        dx[idx[sel]] += g[sel]
 
 
 def _backward_node(node: Node) -> None:
@@ -364,8 +432,10 @@ def _backward_node(node: Node) -> None:
         return
     if op == "affine":
         x, w = p[0].value, p[1].value
-        _accum(p[0], g @ w)
-        _accum(p[1], g.T @ x)
+        if p[0].live:
+            _accum(p[0], g @ w)
+        if p[1].live:
+            _accum(p[1], g.T @ x)
         _accum(p[2], g.sum(axis=0))
         return
     if op == "concat":
@@ -389,6 +459,8 @@ def _backward_node(node: Node) -> None:
         xhat, inv_std = node.cache
         _accum(p[1], (g * xhat).sum(axis=0))
         _accum(p[2], g.sum(axis=0))
+        if not p[0].live:
+            return
         dxhat = g * gamma
         if node.attrs["training"]:
             n = x.shape[0]
@@ -402,24 +474,30 @@ def _backward_node(node: Node) -> None:
         return
     if op == "stats-pool":
         x = p[0].value
-        t, f = x.shape
-        m, s = node.cache
-        gm, gs = g[0, :f], g[0, f:]
-        dx = np.tile(gm / t, (t, 1)) + gs * (x - m) / (t * s)
-        _accum(p[0], dx)
+        f = x.shape[1]
+        # per-segment rows repeated over the segment's frames; the
+        # arithmetic is elementwise, so batching it changes no bit
+        counts = node.cache
+        t = np.repeat(np.asarray(counts, dtype=np.float64), counts)[:, None]
+        rep = np.repeat(np.concatenate([g, node.value], axis=1), counts,
+                        axis=0)
+        gm, gs, m, s = (rep[:, i * f:(i + 1) * f] for i in range(4))
+        _accum(p[0], gm / t + gs * (x - m) / (t * s))
         return
     if op == "splice":
         x = p[0].value
         f = x.shape[1]
         dx = np.zeros_like(x)
-        for k, idx in enumerate(node.cache):
-            np.add.at(dx, idx, g[:, k * f:(k + 1) * f])
+        for k in range(node.cache.shape[1]):
+            _scatter_rows(dx, node.cache[:, k], g[:, k * f:(k + 1) * f])
         _accum(p[0], dx)
         return
     if op == "slice-rows":
-        dx = np.zeros_like(p[0].value)
-        dx[node.attrs["start"]:node.attrs["stop"]] = g
-        _accum(p[0], dx)
+        # accumulate in place: no full-size array per slice
+        parent = p[0]
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.value)
+        parent.grad[node.attrs["start"]:node.attrs["stop"]] += g
         return
     if op == "mean":
         _accum(p[0], np.full_like(p[0].value, g / p[0].value.size))
@@ -508,35 +586,46 @@ def evaluate(root: Node, reset: bool = True) -> np.ndarray:
     return root.value
 
 
-def backward(root: Node, params: ParamSet) -> dict[str, np.ndarray]:
-    """Gradients of a scalar root w.r.t. every trainable param in `params`.
+def backward(root: Node, params):
+    """Gradients of a scalar root w.r.t. the trainable params of ParamSets.
 
-    Requires a prior `evaluate` of the same graph.  Parameters of other
-    ParamSets appearing in the graph receive gradients internally but are
-    not reported.
+    `params` is one ParamSet, for which a dict name -> gradient is
+    returned, or a sequence of them, for which a list of such dicts is
+    returned in the same order; one traversal serves them all.  Requires
+    a prior `evaluate` of the same graph.  Only nodes that lead to a
+    reported parameter are differentiated: inputs, and parameters of
+    other ParamSets or frozen ones, get no gradient.
     """
+    sets = [params] if isinstance(params, ParamSet) else list(params)
     if root.value is None:
         raise GraphError("evaluate must run before backward")
     if np.asarray(root.value).size != 1:
         raise GraphError("backward root must be scalar")
     order = _topo_order(root)
-    for node in order:
+    for node in order:  # parents come before their children
         if node.value is None:
             raise GraphError("graph has nodes without cached forward values")
         node.grad = None
-    root.grad = np.ones_like(root.value)
+        if node.op == "param":
+            ps = node.attrs["params"]
+            node.live = any(ps is s for s in sets) and \
+                ps.is_trainable(node.attrs["name"])
+        else:
+            node.live = any(q.live for q in node.parents)
+    if root.live:
+        root.grad = np.ones_like(root.value)
     for node in reversed(order):
-        if node.grad is None:
-            continue
-        _backward_node(node)
-    grads = {n: np.zeros_like(params.value(n))
-             for n in params.trainable_names()}
-    for node in order:
-        if node.op == "param" and node.attrs["params"] is params:
-            name = node.attrs["name"]
-            if name in grads and node.grad is not None:
-                grads[name] += node.grad
-    return grads
+        if node.grad is not None:
+            _backward_node(node)
+    out = []
+    for ps in sets:
+        grads = {n: np.zeros_like(ps.value(n)) for n in ps.trainable_names()}
+        for node in order:
+            if node.op == "param" and node.attrs["params"] is ps \
+                    and node.grad is not None:
+                grads[node.attrs["name"]] += node.grad
+        out.append(grads)
+    return out[0] if isinstance(params, ParamSet) else out
 
 
 def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], rate: float,

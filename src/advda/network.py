@@ -24,6 +24,12 @@ from .autodiff import Node, ParamSet
 CHECKPOINT_MAGIC = b"ADVD"
 CHECKPOINT_VERSION = 1
 
+# Extraction embeds utterances in chunks whose widest frame-level array
+# is about this size.  Small chunks pay per-node overhead; chunks that
+# outgrow a core's L2 cache (2 MiB on the 2-core machine measured) made
+# the wide-lang benchmark network slower than one utterance per graph.
+EXTRACT_CHUNK_BYTES = 1 << 20
+
 
 @dataclass
 class NetworkConfig:
@@ -154,19 +160,20 @@ def build_embedding(params: NetworkParams, frames: Node, bit: int,
 
     A batch of one utterance; see `build_embedding_batch`.
     """
-    return build_embedding_batch(params, [(frames, n_frames, bit)], training,
+    return build_embedding_batch(params, frames, [n_frames], [bit], training,
                                  use_bit=use_bit)
 
 
-def build_embedding_batch(params: NetworkParams, utterances,
+def build_embedding_batch(params: NetworkParams, frames: Node, counts, bits,
                           training: bool, use_bit: bool | None = None) -> Node:
     """Graph from several utterances to their (n, d) embedding rows.
 
-    `utterances` is a sequence of (frames node, frame count, bit)
-    triples.  The frame-level layers run on the concatenated minibatch,
-    so training-mode batch norm uses statistics over the whole minibatch
-    (mixing domains when both are present).  A batch of one builds no
-    per-utterance slices or concatenations.
+    `frames` holds the utterances' frames stacked along the rows,
+    `counts` their frame counts and `bits` their domain bits.  Every
+    layer runs on the whole minibatch at once: splicing and pooling
+    work within each utterance's rows, and training-mode batch norm uses
+    statistics over the whole minibatch (mixing domains when both are
+    present).
 
     When the network was built with the domain-bit input, the bit column
     is always appended (the weight shapes require it); `use_bit=False`
@@ -176,38 +183,25 @@ def build_embedding_batch(params: NetworkParams, utterances,
     ext = params.extractor
     if use_bit is None:
         use_bit = cfg.use_domain_bit
-    if not utterances:
+    counts = [int(n) for n in counts]
+    if not counts:
         raise ValueError("embedding batch needs at least one utterance")
-    counts = []
-    bits = []
-    frame_nodes = []
-    for frames, n_frames, bit in utterances:
-        if bit not in (0, 1):
-            raise ValueError("domain bit must be 0 or 1")
-        counts.append(int(n_frames))
-        bits.append(float(bit) if use_bit else 0.0)
-        frame_nodes.append(frames)
+    if len(bits) != len(counts):
+        raise ValueError(f"{len(bits)} domain bits for {len(counts)} "
+                         f"utterances")
+    if any(bit not in (0, 1) for bit in bits):
+        raise ValueError("domain bit must be 0 or 1")
+    bits = [float(bit) if use_bit else 0.0 for bit in bits]
 
     # bit columns for frame rows and for pooled rows, shared by the layers
-    frame_bits = np.repeat(bits, counts)[:, None]
-    utt_bits = np.asarray(bits)[:, None]
+    frame_bits = ad.const(np.repeat(bits, counts)[:, None])
+    utt_bits = ad.const(np.asarray(bits)[:, None])
 
-    def per_utterance(x, fn):
-        if len(counts) == 1:
-            return fn(x)
-        start = 0
-        parts = []
-        for n in counts:
-            parts.append(fn(ad.slice_rows(x, start, start + n)))
-            start += n
-        return ad.concat(parts, axis=0)
-
-    x = frame_nodes[0] if len(frame_nodes) == 1 else \
-        ad.concat(frame_nodes, axis=0)
+    x = frames
     for i, ctx in enumerate(cfg.tdnn_contexts):
-        x = per_utterance(x, lambda u: ad.splice(u, ctx))
+        x = ad.splice(x, ctx, counts)
         if cfg.use_domain_bit:
-            x = ad.concat([x, ad.const(frame_bits)], axis=1)
+            x = ad.concat([x, frame_bits], axis=1)
         x = ad.affine(x, ad.param(ext, f"tdnn{i}.W"),
                       ad.param(ext, f"tdnn{i}.b"))
         x = ad.relu(x)
@@ -215,9 +209,9 @@ def build_embedding_batch(params: NetworkParams, utterances,
                           ad.param(ext, f"tdnn{i}.beta"), ext,
                           f"tdnn{i}.rmean", f"tdnn{i}.rvar", training,
                           cfg.bn_momentum, cfg.bn_eps)
-    x = per_utterance(x, ad.stats_pool)
+    x = ad.stats_pool(x, counts=counts)
     if cfg.use_domain_bit:
-        x = ad.concat([x, ad.const(utt_bits)], axis=1)
+        x = ad.concat([x, utt_bits], axis=1)
     return ad.affine(x, ad.param(ext, "embed.W"), ad.param(ext, "embed.b"))
 
 
@@ -266,17 +260,60 @@ def build_critic(params: NetworkParams, h: Node) -> Node:
     return ad.affine(x, ad.param(cr, "W2"), ad.param(cr, "b2"))
 
 
+def _widest_frame_array(config: NetworkConfig) -> int:
+    """Widest frame-level array of the extractor, in columns."""
+    bit = int(config.use_domain_bit)
+    widest, in_dim = 0, config.frame_dim
+    for width, ctx in zip(config.tdnn_widths, config.tdnn_contexts):
+        widest = max(widest, in_dim * len(ctx) + bit, width)
+        in_dim = width
+    return widest
+
+
+def extract_embeddings(params: NetworkParams, frames_seq, bits) -> np.ndarray:
+    """(n, d) embeddings of n utterances (inference-mode batch norm).
+
+    The utterances are embedded a chunk at a time, in one graph per
+    chunk.  Inference-mode batch norm works row by row, so the result
+    does not depend on the chunking beyond the rounding of the matrix
+    products.  A chunk holds whole utterances, as many as keep its widest
+    frame-level array within `EXTRACT_CHUNK_BYTES` (at least one).
+    """
+    # kept in their own dtype: each chunk is cast to float64 on its own
+    frames_seq = [np.asarray(f) for f in frames_seq]
+    m = params.config.frame_dim
+    for frames in frames_seq:
+        if frames.ndim != 2 or frames.shape[1] != m:
+            raise ValueError(
+                f"expected (T, {m}) frames, got {frames.shape}")
+    bits = list(bits)
+    if len(bits) != len(frames_seq):
+        raise ValueError(f"{len(bits)} domain bits for {len(frames_seq)} "
+                         f"utterances")
+    budget = EXTRACT_CHUNK_BYTES // (8 * _widest_frame_array(params.config))
+    out = []
+    start = 0
+    while start < len(frames_seq):
+        stop, rows = start + 1, frames_seq[start].shape[0]
+        while stop < len(frames_seq) and \
+                rows + frames_seq[stop].shape[0] <= budget:
+            rows += frames_seq[stop].shape[0]
+            stop += 1
+        chunk = frames_seq[start:stop]
+        node = build_embedding_batch(
+            params, ad.const(np.concatenate(chunk)),
+            [f.shape[0] for f in chunk], bits[start:stop], training=False)
+        out.append(ad.evaluate(node))
+        start = stop
+    if not out:
+        return np.zeros((0, params.config.embed_dim))
+    return np.concatenate(out)
+
+
 def extract_embedding(params: NetworkParams, frames: np.ndarray,
-                      bit: int = 0, use_bit: bool | None = None,
-                      training: bool = False) -> np.ndarray:
+                      bit: int = 0) -> np.ndarray:
     """Embedding vector for one utterance (inference-mode batch norm)."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != params.config.frame_dim:
-        raise ValueError(
-            f"expected (T, {params.config.frame_dim}) frames, got {frames.shape}")
-    node = build_embedding(params, ad.const(frames), bit, training,
-                           use_bit=use_bit, n_frames=frames.shape[0])
-    return ad.evaluate(node)[0]
+    return extract_embeddings(params, [frames], [bit])[0]
 
 
 def classify(params: NetworkParams, h: np.ndarray, head: str) -> np.ndarray:
@@ -325,15 +362,28 @@ def save_checkpoint(path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
+    """Read a checkpoint; any malformed content raises `ValueError`."""
     with open(path, "rb") as f:
         r = container.Reader(f, "checkpoint")
         r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        template = init_network(NetworkConfig(**r.json("config")), seed=0)
+        block = r.json("config")
+        if not isinstance(block, dict):
+            raise ValueError(f"checkpoint {path}: config block is not an "
+                             f"object")
+        try:
+            template = init_network(NetworkConfig(**block), seed=0)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"checkpoint {path}: bad config block: {e}") \
+                from e
         sets = _param_sets(template)
         (count,) = r.unpack("<I", "array count")
         arrays = r.arrays(count, [f"{p}/{n}" for p, ps in sets.items()
                                   for n in ps.names()])
     for name, data in arrays.items():
         prefix, _, pname = name.partition("/")
-        sets[prefix].set_value(pname, data)
+        try:
+            sets[prefix].set_value(pname, data)
+        except ad.GraphError as e:
+            raise ValueError(f"checkpoint {path}: array {name!r}: {e}") \
+                from e
     return template

@@ -63,6 +63,13 @@ class CorpusSection:
     augment_copies: int = 0
     augment_scale: float = 0.1
 
+    def __post_init__(self):
+        fr = self.frames_range
+        if not isinstance(fr, (list, tuple)) or len(fr) != 2 or \
+                not 1 <= fr[0] <= fr[1]:
+            raise ValueError(f"frames_range must be two frame counts "
+                             f"1 <= lo <= hi, got {fr!r}")
+
     def spec(self, seed: int, target_speakers=None,
              target_utts=None) -> cp.CorpusSpec:
         a, b = cp.make_domain_shift(self.frame_dim, self.shift_rotation,
@@ -130,16 +137,47 @@ class ExperimentConfig:
         if "trials" in data:
             out.trials = _strict(TrialsSection, data["trials"], "trials")
         if "priors" in data:
+            # the report gives one minDCF for each of the two priors
+            if not isinstance(data["priors"], (list, tuple)) or \
+                    len(data["priors"]) != 2:
+                raise ConfigError("priors: expected a list of two values")
             out.priors = tuple(data["priors"])
         # stored as override dicts; building the config once here
         # rejects bad keys and values at load
+        built = {}
         for section, section_cls in (("network", net.NetworkConfig),
                                      ("train_base", tr.TrainConfig),
                                      ("train_adapt", tr.TrainConfig)):
             if section in data:
-                _strict(section_cls, data[section], section)
+                built[section] = _strict(section_cls, data[section], section)
                 setattr(out, section, dict(data[section]))
+            else:
+                built[section] = section_cls()
+        out._check_across_sections(**built)
         return out
+
+    def _check_across_sections(self, network, train_base, train_adapt):
+        """Constraints that tie one section's values to another's."""
+        if self.backend.lda_dim > network.embed_dim:
+            raise ConfigError(
+                f"backend.lda_dim={self.backend.lda_dim} exceeds "
+                f"network.embed_dim={network.embed_dim}")
+        for i, prior in enumerate(self.priors):
+            if isinstance(prior, bool) or \
+                    not isinstance(prior, (int, float)) or \
+                    not 0.0 < prior < 1.0:
+                raise ConfigError(f"priors[{i}]={prior!r} must lie in (0, 1)")
+        # splicing needs every segment longer than its widest context
+        span = max(abs(o) for ctx in network.tdnn_contexts for o in ctx)
+        lengths = {"corpus.frames_range[0]": self.corpus.frames_range[0],
+                   "train_base.segment_frames[0]": train_base.segment_frames[0],
+                   "train_adapt.segment_frames[0]":
+                       train_adapt.segment_frames[0]}
+        for key, n in lengths.items():
+            if n <= span:
+                raise ConfigError(
+                    f"{key}={n} frames is not longer than the widest "
+                    f"network.tdnn_contexts offset {span}")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -356,13 +394,11 @@ def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> dict:
     outputs = []
     for name in ("source", "target", "eval"):
         feats, records = _load_feats(cfg, name)
-        embs = {}
-        for r in records:
-            bit = 0 if r.domain == "source" else 1
-            vec = net.extract_embedding(
-                params, np.asarray(feats[r.utt_id], dtype=np.float64),
-                bit=bit)
-            embs[r.utt_id] = vec[None, :].astype(np.float32)
+        vecs = net.extract_embeddings(
+            params, [feats[r.utt_id] for r in records],
+            [0 if r.domain == "source" else 1 for r in records])
+        embs = {r.utt_id: vec[None, :].astype(np.float32)
+                for r, vec in zip(records, vecs)}
         out = cfg.path(f"emb_{name}_{tag}.xvf")
         cp.write_archive(out, embs)
         outputs.append(out)

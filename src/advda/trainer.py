@@ -215,8 +215,8 @@ def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
 def _batch_embedding_nodes(params: NetworkParams, items, use_bit: bool,
                            tdnn_training: bool):
     return net.build_embedding_batch(
-        params, [(ad.const(it.frames), it.frames.shape[0], it.bit)
-                 for it in items],
+        params, ad.const(np.concatenate([it.frames for it in items])),
+        [it.frames.shape[0] for it in items], [it.bit for it in items],
         training=tdnn_training, use_bit=use_bit)
 
 
@@ -283,8 +283,7 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
     for t in terms[1:]:
         loss = ad.add(loss, t)
     ad.evaluate(loss, reset=False)
-    g_heads = ad.backward(loss, params.heads)
-    g_ext = ad.backward(loss, params.extractor)
+    g_heads, g_ext = ad.backward(loss, [params.heads, params.extractor])
     ad.sgd_step(params.heads, g_heads, rate, "descend")
     ad.sgd_step(params.extractor, g_ext, rate, "descend")
     return {
@@ -327,9 +326,8 @@ def pseudo_label_utterances(params: NetworkParams, feats: dict,
                             stop_threshold: float, bit: int = 1) -> dict:
     """Cluster current-model embeddings of a feature dict into labels."""
     uids = sorted(feats)
-    embs = np.stack([net.extract_embedding(
-        params, np.asarray(feats[u], dtype=np.float64), bit=bit)
-        for u in uids])
+    embs = net.extract_embeddings(params, [feats[u] for u in uids],
+                                  [bit] * len(uids))
     labels = pseudo_label(embs, stop_threshold)
     return {u: int(l) for u, l in zip(uids, labels)}
 
@@ -453,8 +451,8 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
                                         training=True)
             loss = ad.cross_entropy(logp, [it.label for it in items], ls_norm)
             ad.evaluate(loss)
-            g_heads = ad.backward(loss, params.heads)
-            g_ext = ad.backward(loss, params.extractor)
+            g_heads, g_ext = ad.backward(loss,
+                                         [params.heads, params.extractor])
             ad.sgd_step(params.heads, g_heads, rate, "descend")
             ad.sgd_step(params.extractor, g_ext, rate, "descend")
             ce_vals.append(float(loss.value))

@@ -173,6 +173,78 @@ def test_fd_splice(rng):
     _check_grads(root, ps)
 
 
+def test_fd_segmented_splice(rng):
+    # unequal segments, the shortest one just longer than the context, so
+    # clamping happens at every boundary between segments
+    counts = (3, 6, 4, 5)
+    ps = _params_with(rng, x=(sum(counts), 3))
+    weights = rng.normal(size=(sum(counts), 9))
+    spliced = ad.splice(ad.param(ps, "x"), (-2, 0, 2), counts)
+    _check_grads(ad.mean(ad.square(ad.mul(spliced, ad.const(weights)))), ps)
+
+
+def test_segmented_splice_clamps_within_segments(rng):
+    counts = (3, 6, 4)
+    x = rng.normal(size=(sum(counts), 2))
+    got = ad.evaluate(ad.splice(ad.const(x), (-2, 0, 2), counts))
+    parts = np.split(x, np.cumsum(counts)[:-1])
+    expected = np.concatenate([ad.evaluate(ad.splice(ad.const(u), (-2, 0, 2)))
+                               for u in parts])
+    np.testing.assert_array_equal(got, expected)
+    # first row of the second segment: its -2 context is itself
+    np.testing.assert_array_equal(got[3, :2], x[3])
+
+
+@pytest.mark.parametrize("offsets", [(-3, 0, 3), (-2, -1, 0, 1, 2)])
+def test_segmented_splice_backward_sums_like_add_at(rng, offsets):
+    # the gradient of each clamped edge row is a sum of several terms;
+    # it must add them in np.add.at's order (offset by offset, rows
+    # ascending), the order of the per-utterance op it replaces
+    counts = (4, 7, 5)
+    ps = _params_with(rng, x=(sum(counts), 3))
+    weights = rng.normal(size=(sum(counts), 3 * len(offsets)))
+    spliced = ad.splice(ad.param(ps, "x"), offsets, counts)
+    root = ad.sum_(ad.mul(spliced, ad.const(weights)))
+    ad.evaluate(root)
+    expected = np.zeros((sum(counts), 3))
+    start = 0
+    for n in counts:
+        seg = np.zeros((n, 3))
+        for k, o in enumerate(offsets):
+            np.add.at(seg, np.clip(np.arange(n) + o, 0, n - 1),
+                      weights[start:start + n, 3 * k:3 * (k + 1)])
+        expected[start:start + n] = seg
+        start += n
+    np.testing.assert_array_equal(ad.backward(root, ps)["x"], expected)
+
+
+def test_fd_segmented_stats_pool(rng):
+    counts = (2, 5, 3, 4)
+    ps = _params_with(rng, x=(sum(counts), 3))
+    weights = rng.normal(size=(len(counts), 6))
+    pooled = ad.stats_pool(ad.param(ps, "x"), counts=counts)
+    _check_grads(ad.mean(ad.square(ad.mul(pooled, ad.const(weights)))), ps)
+
+
+def test_segmented_stats_pool_rows(rng):
+    counts = (2, 5, 3)
+    x = rng.normal(size=(sum(counts), 4))
+    got = ad.evaluate(ad.stats_pool(ad.const(x), counts=counts))
+    for row, u in zip(got, np.split(x, np.cumsum(counts)[:-1])):
+        np.testing.assert_array_equal(
+            row, ad.evaluate(ad.stats_pool(ad.const(u)))[0])
+
+
+def test_segment_too_short_named():
+    x = ad.const(np.zeros((9, 2)))
+    with pytest.raises(GraphError, match="sequence of 2 frames"):
+        ad.evaluate(ad.splice(x, (-2, 0, 2), counts=(4, 2, 3)))
+    with pytest.raises(GraphError, match="8 rows"):
+        ad.evaluate(ad.stats_pool(x, counts=(4, 4)))
+    with pytest.raises(GraphError, match="positive"):
+        ad.splice(x, (0,), counts=(9, 0))
+
+
 def test_fd_log_softmax_cross_entropy(rng):
     ps = _params_with(rng, x=(5, 4))
     logp = ad.log_softmax(ad.param(ps, "x"))
@@ -201,6 +273,55 @@ def test_fd_l2_norm(rng):
     ps = _params_with(rng, x=(6,))
     root = ad.l2_norm(ad.param(ps, "x"))
     _check_grads(root, ps)
+
+
+def test_fd_overlapping_slices(rng):
+    ps = _params_with(rng, x=(6, 3))
+    x = ad.param(ps, "x")
+    weights = ad.const(rng.normal(size=(4, 3)))
+    root = ad.add(ad.mean(ad.square(ad.slice_rows(x, 0, 4))),
+                  ad.mean(ad.square(ad.mul(ad.slice_rows(x, 2, 6),
+                                           weights))))
+    _check_grads(root, ps)
+    grad = ad.backward(root, ps)["x"]
+    xv, w = ps.value("x"), weights.value
+    expected = np.zeros_like(xv)
+    expected[0:4] += 2.0 * xv[0:4] / 12
+    expected[2:6] += 2.0 * xv[2:6] * w ** 2 / 12
+    np.testing.assert_allclose(grad, expected, rtol=1e-14)
+
+
+def test_backward_several_sets_in_one_pass(rng):
+    a = _params_with(rng, w=(4, 3), b=(4,))
+    b = _params_with(rng, w=(2, 4), b=(2,))
+    other = _params_with(rng, s=(2, 2))
+    b.set_trainable("b", False)
+    x = ad.const(rng.normal(size=(5, 3)))
+    h = ad.relu(ad.affine(x, ad.param(a, "w"), ad.param(a, "b")))
+    h = ad.affine(h, ad.param(b, "w"), ad.param(b, "b"))
+    root = ad.mean(ad.square(ad.matmul(h, ad.param(other, "s"))))
+    ad.evaluate(root)
+    both = ad.backward(root, [a, b])
+    single = [ad.backward(root, a), ad.backward(root, b)]
+    assert isinstance(single[0], dict) and len(both) == 2
+    for got, want in zip(both, single):
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes()
+    assert set(both[1]) == {"w"}  # frozen "b" is not reported
+
+
+def test_backward_skips_nodes_without_parameters(rng):
+    ps = _params_with(rng, w=(2, 6), b=(2,))
+    x = ad.const(rng.normal(size=(5, 3)))
+    spliced = ad.splice(x, (-1, 1))
+    root = ad.mean(ad.affine(spliced, ad.param(ps, "w"), ad.param(ps, "b")))
+    ad.evaluate(root)
+    ad.backward(root, ps)
+    assert x.grad is None and spliced.grad is None
+    # a set the root does not depend on gets zero gradients
+    unused = ad.backward(root, _params_with(rng, v=(1,)))
+    assert list(unused) == ["v"] and not unused["v"].any()
 
 
 # ---------------------------------------------------------------------------

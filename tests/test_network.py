@@ -1,7 +1,11 @@
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from advda import autodiff as ad
+from advda import container
 from advda import network as net
 from advda.network import NetworkConfig
 
@@ -197,7 +201,7 @@ def test_embedding_is_batch_of_one(rng, domain_bit):
                               seed=3)
     frames = ad.const(rng.normal(size=(9, 4)))
     single = net.build_embedding(params, frames, 1, False, n_frames=9)
-    batch = net.build_embedding_batch(params, [(frames, 9, 1)], False)
+    batch = net.build_embedding_batch(params, frames, [9], [1], False)
     assert graph_ops(single) == graph_ops(batch)
     # one utterance needs no per-utterance slicing
     assert "slice-rows" not in graph_ops(batch)
@@ -380,3 +384,169 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         net.load_checkpoint(path)
+
+
+def write_checkpoint(path, config: dict, arrays):
+    """A checkpoint written field by field with `advda.container`."""
+    with open(path, "wb") as f:
+        container.write_header(f, net.CHECKPOINT_MAGIC,
+                               net.CHECKPOINT_VERSION)
+        container.write_json(f, config)
+        f.write(struct.pack("<I", len(arrays)))
+        container.write_arrays(f, arrays)
+
+
+def checkpoint_parts(params):
+    arrays = [(f"{prefix}/{name}", ps.value(name))
+              for prefix, ps in (("extractor", params.extractor),
+                                 ("heads", params.heads),
+                                 ("critic", params.critic))
+              for name in ps.names()]
+    return asdict(params.config), arrays
+
+
+def test_checkpoint_wrong_array_shape_rejected(tmp_path):
+    config, arrays = checkpoint_parts(net.init_network(small_config(), 0))
+    arrays = [(n, np.zeros(5) if n == "critic/b0" else a)
+              for n, a in arrays]
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, config, arrays)
+    with pytest.raises(ValueError, match=r"model\.ckpt.*critic/b0.*\(5,\)"):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("dropout", 0.5, "unexpected keyword argument 'dropout'"),
+    ("critic_widths", [8], "critic_widths"),
+])
+def test_checkpoint_bad_config_block_rejected(tmp_path, key, value, match):
+    config, arrays = checkpoint_parts(net.init_network(small_config(), 0))
+    config[key] = value
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, config, arrays)
+    with pytest.raises(ValueError, match=rf"model\.ckpt.*{match}"):
+        net.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# segmented minibatch graph
+
+
+def per_utterance_embedding(params, frames, counts, bits, training):
+    """Reference graph: each utterance sliced out, spliced and pooled on
+    its own, the parts stacked again after every layer."""
+    cfg, ext = params.config, params.extractor
+    frame_bits = np.repeat(np.asarray(bits, dtype=float), counts)[:, None]
+
+    def per_utterance(x, fn):
+        starts = np.cumsum([0] + counts[:-1])
+        return ad.concat([fn(ad.slice_rows(x, s, s + n))
+                          for s, n in zip(starts, counts)], axis=0)
+
+    x = frames
+    for i, ctx in enumerate(cfg.tdnn_contexts):
+        x = per_utterance(x, lambda u: ad.splice(u, ctx))
+        x = ad.concat([x, ad.const(frame_bits)], axis=1)
+        x = ad.affine(x, ad.param(ext, f"tdnn{i}.W"),
+                      ad.param(ext, f"tdnn{i}.b"))
+        x = ad.batch_norm(ad.relu(x), ad.param(ext, f"tdnn{i}.gamma"),
+                          ad.param(ext, f"tdnn{i}.beta"), ext,
+                          f"tdnn{i}.rmean", f"tdnn{i}.rvar", training,
+                          cfg.bn_momentum, cfg.bn_eps)
+    x = per_utterance(x, ad.stats_pool)
+    x = ad.concat([x, ad.const(np.asarray(bits, dtype=float)[:, None])],
+                  axis=1)
+    return ad.affine(x, ad.param(ext, "embed.W"), ad.param(ext, "embed.b"))
+
+
+def test_segmented_graph_equals_per_utterance_graphs(rng):
+    # wide contexts after the first layer, where gradients reach the
+    # splice: edge rows sum three and four clamped terms in order
+    cfg = small_config(use_domain_bit=True,
+                       tdnn_contexts=((-1, 0, 1), (-2, 0, 2), (-3, 0, 3)))
+    counts = [5, 9, 4, 7]
+    bits = [0, 1, 1, 0]
+    frames = rng.normal(size=(sum(counts), cfg.frame_dim))
+    weights = rng.normal(size=(len(counts), cfg.embed_dim))
+    start = net.init_network(cfg, seed=21).extractor
+    noise = {n: 0.1 * rng.normal(size=start.value(n).shape)
+             for n in start.names()}
+    results = []
+    for build in (net.build_embedding_batch, per_utterance_embedding):
+        params = net.init_network(cfg, seed=21)
+        for name in params.extractor.names():
+            params.extractor.set_value(
+                name, params.extractor.value(name) + noise[name])
+        emb = build(params, ad.const(frames), counts, bits, True)
+        root = ad.mean(ad.square(ad.mul(emb, ad.const(weights))))
+        ad.evaluate(root)
+        grads = ad.backward(root, params.extractor)
+        results.append((emb.value, grads, params.extractor))
+    (e1, g1, ps1), (e2, g2, ps2) = results
+    np.testing.assert_array_equal(e1, e2)
+    assert g1.keys() == g2.keys()
+    for name in g1:
+        np.testing.assert_array_equal(g1[name], g2[name], err_msg=name)
+    for name in ps1.names():  # running statistics included
+        np.testing.assert_array_equal(ps1.value(name), ps2.value(name))
+
+
+def test_segmented_graph_is_small():
+    params = net.init_network(small_config(use_domain_bit=True), seed=0)
+    counts = [6] * 40
+    emb = net.build_embedding_batch(
+        params, ad.const(np.zeros((sum(counts), 4))), counts, [0, 1] * 20,
+        training=True)
+    ops = graph_ops(emb)
+    assert "slice-rows" not in ops
+    assert ops.count("splice") == 3 and ops.count("stats-pool") == 1
+    assert len(ops) < 40
+
+
+def utterances(rng, cfg, lengths):
+    return [rng.normal(size=(n, cfg.frame_dim)) for n in lengths]
+
+
+@pytest.mark.parametrize("domain_bit", [False, True])
+def test_batched_extraction_matches_per_utterance(rng, monkeypatch,
+                                                  domain_bit):
+    cfg = small_config(use_domain_bit=domain_bit)
+    params = net.init_network(cfg, seed=8)
+    for name in params.extractor.names():
+        value = params.extractor.value(name)
+        params.extractor.set_value(
+            name, value + 0.2 * rng.normal(size=value.shape))
+    lengths = [7, 30, 12, 9, 25, 8, 40, 11]
+    frames = utterances(rng, cfg, lengths)
+    bits = [0, 1, 1, 0, 1, 0, 0, 1]
+    single = np.stack([net.extract_embedding(params, f, bit=b)
+                       for f, b in zip(frames, bits)])
+
+    built = []
+    build = net.build_embedding_batch
+
+    def counting_build(*args, **kwargs):
+        built.append(args[2])
+        return build(*args, **kwargs)
+    monkeypatch.setattr(net, "build_embedding_batch", counting_build)
+    widest = net._widest_frame_array(cfg)
+    # 1 row per chunk (one utterance each), 40 rows, everything at once
+    for rows in (1, 40, 10**6):
+        built.clear()
+        monkeypatch.setattr(net, "EXTRACT_CHUNK_BYTES", 8 * widest * rows)
+        batched = net.extract_embeddings(params, frames, bits)
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-12)
+        assert [n for chunk in built for n in chunk] == lengths
+        assert all(sum(c) <= rows or len(c) == 1 for c in built)
+    assert len(built) == 1
+
+
+def test_batched_extraction_checks_inputs(rng):
+    cfg = small_config()
+    params = net.init_network(cfg, seed=0)
+    with pytest.raises(ValueError, match="frames"):
+        net.extract_embeddings(params, [np.zeros((5, cfg.frame_dim)),
+                                        np.zeros((5, 9))], [0, 0])
+    with pytest.raises(ValueError, match="bits"):
+        net.extract_embeddings(params, [np.zeros((5, cfg.frame_dim))],
+                               [0, 1])

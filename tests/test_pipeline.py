@@ -102,6 +102,39 @@ def test_config_rejects_bad_section_values():
             {"train_adapt": {"epochs": 2, "warmup_epochs": 2}})
 
 
+@pytest.mark.parametrize("data, match", [
+    ({"backend": {"lda_dim": 17}, "network": {"embed_dim": 16,
+                                              "post_pool_widths": [16, 16]}},
+     r"backend\.lda_dim=17 exceeds network\.embed_dim=16"),
+    ({"backend": {"lda_dim": 65}}, r"lda_dim=65 exceeds .*embed_dim=64"),
+    ({"priors": [0.01, 1.0]}, r"priors\[1\]=1\.0"),
+    ({"priors": [0.0, 0.1]}, r"priors\[0\]=0\.0"),
+    ({"priors": ["0.5", 0.1]}, r"priors\[0\]='0\.5'"),
+    ({"priors": 0.5}, "priors: expected a list of two"),
+    ({"priors": [0.5]}, "priors: expected a list of two"),
+    ({"corpus": {"frames_range": 30}}, "corpus: frames_range"),
+    ({"corpus": {"frames_range": [9, 3]}}, "corpus: frames_range"),
+    ({"corpus": {"frames_range": [3, 9]}},
+     r"corpus\.frames_range\[0\]=3 frames .* offset 3"),
+    ({"train_base": {"segment_frames": [2, 9]},
+      "network": {"tdnn_contexts": [[-2, 0, 2], [0], [0], [0], [0]]}},
+     r"train_base\.segment_frames\[0\]=2 frames .* offset 2"),
+    ({"train_adapt": {"segment_frames": [1, 9]}},
+     r"train_adapt\.segment_frames\[0\]=1"),
+])
+def test_config_rejects_inconsistent_sections(data, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_accepts_segments_just_longer_than_context():
+    cfg = ExperimentConfig.from_dict(
+        {"corpus": {"frames_range": [4, 9]},
+         "train_base": {"segment_frames": [4, 9]},
+         "backend": {"lda_dim": 64}, "priors": [0.5, 0.25]})
+    assert cfg.corpus.frames_range == [4, 9]
+
+
 def test_config_rejects_non_object_section():
     with pytest.raises(ConfigError, match="expected an object"):
         ExperimentConfig.from_dict({"backend": 7})
