@@ -5,9 +5,9 @@ constructor functions below, run `evaluate` to get values and `backward`
 to get parameter gradients of one or several ParamSets in one pass.
 `splice` and `stats-pool` work on a batch of variable-length segments
 (utterances) stacked along the rows, so a whole minibatch is one graph
-of a few dozen nodes.  Second-order support is limited to the
-critic input-gradient construction (`critic_input_gradient`), which is
-all the gradient-penalty loss needs.
+of a few dozen nodes.  The engine knows no model, and `evaluate` writes
+to no ParamSet: batch-norm running averages change only in
+`update_running_stats`.
 """
 
 from __future__ import annotations
@@ -118,13 +118,19 @@ def leaky_relu(x: Node, slope: float = 0.2) -> Node:
     return Node("leaky-relu", (x,), slope=float(slope))
 
 
+def leaky_relu_mask(x: Node, slope: float = 0.2) -> Node:
+    """`leaky_relu`'s derivative at x, a constant under differentiation."""
+    return Node("leaky-relu-mask", (x,), slope=float(slope))
+
+
 def batch_norm(x: Node, gamma: Node, beta: Node, state: ParamSet,
                mean_name: str, var_name: str, training: bool,
                momentum: float = 0.95, eps: float = 1e-5) -> Node:
     """Per-feature batch norm over axis 0.
 
-    Training mode uses batch statistics and folds them into the running
-    averages stored in `state`; inference mode reads the running averages.
+    Training mode uses batch statistics, which `update_running_stats`
+    folds into the running averages in `state`; inference mode reads the
+    running averages.
     """
     return Node("batch-norm", (x, gamma, beta), state=state,
                 mean_name=mean_name, var_name=var_name,
@@ -221,29 +227,12 @@ def sub(a: Node, b: Node) -> Node:
 
 
 def mul(a: Node, b: Node) -> Node:
+    """Elementwise product; either operand may be one row against n rows."""
     return Node("mul", (a, b))
 
 
 def matmul(a: Node, b: Node) -> Node:
     return Node("matmul", (a, b))
-
-
-def critic_input_gradient(critic: ParamSet, h: Node, slope: float = 0.2) -> Node:
-    """Graph node for the critic's gradient w.r.t. its input rows.
-
-    The critic must be the fixed chain affine("W0","b0") -> leaky-relu ->
-    affine("W1","b1") -> leaky-relu -> affine("W2","b2") -> scalar, the
-    depth `NetworkConfig` enforces through `critic_widths`.  The
-    returned node evaluates, for each row h, W0' D0 W1' D1 w2 where the Di
-    are diagonal activation-derivative masks.  The masks are treated as
-    constants under differentiation (leaky-relu curvature is zero almost
-    everywhere), so `backward` through this node yields correct critic
-    parameter gradients of the gradient-penalty loss.
-    """
-    parents = (h, param(critic, "W0"), param(critic, "b0"),
-               param(critic, "W1"), param(critic, "b1"),
-               param(critic, "W2"))
-    return Node("input-gradient", parents, slope=float(slope))
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +280,21 @@ def _forward(node: Node) -> np.ndarray:
         s = node.attrs["slope"]
         x = p[0].value
         return np.where(x > 0.0, x, s * x)
+    if op == "leaky-relu-mask":
+        return _lrelu_mask(p[0].value, node.attrs["slope"])
     if op == "batch-norm":
         x, gamma, beta = p[0].value, p[1].value, p[2].value
         eps = node.attrs["eps"]
         if node.attrs["training"]:
             mu = x.mean(axis=0)
             var = x.var(axis=0)
-            state = node.attrs["state"]
-            m = node.attrs["momentum"]
-            rm = state.value(node.attrs["mean_name"])
-            rv = state.value(node.attrs["var_name"])
-            state.set_value(node.attrs["mean_name"], m * rm + (1 - m) * mu)
-            state.set_value(node.attrs["var_name"], m * rv + (1 - m) * var)
         else:
             state = node.attrs["state"]
             mu = state.value(node.attrs["mean_name"])
             var = state.value(node.attrs["var_name"])
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x - mu) * inv_std
-        node.cache = (xhat, inv_std)
+        node.cache = (xhat, inv_std, mu, var)
         return xhat * gamma + beta
     if op == "stats-pool":
         x = p[0].value
@@ -383,19 +368,6 @@ def _forward(node: Node) -> np.ndarray:
         return p[0].value * p[1].value
     if op == "matmul":
         return p[0].value @ p[1].value
-    if op == "input-gradient":
-        h, w0, b0, w1, b1, w2 = (q.value for q in p)
-        s = node.attrs["slope"]
-        z0 = h @ w0.T + b0
-        d0 = _lrelu_mask(z0, s)
-        a0 = np.where(z0 > 0.0, z0, s * z0)
-        z1 = a0 @ w1.T + b1
-        d1 = _lrelu_mask(z1, s)
-        u = d1 * w2  # (n, u1), w2 is (1, u1)
-        pm = u @ w1  # (n, u0)
-        v = pm * d0
-        node.cache = (d0, d1, u, pm, v)
-        return v @ w0
     raise GraphError(f"unknown op {op!r}")
 
 
@@ -456,7 +428,7 @@ def _backward_node(node: Node) -> None:
         return
     if op == "batch-norm":
         x, gamma = p[0].value, p[1].value
-        xhat, inv_std = node.cache
+        xhat, inv_std = node.cache[:2]
         _accum(p[1], (g * xhat).sum(axis=0))
         _accum(p[2], g.sum(axis=0))
         if not p[0].live:
@@ -542,24 +514,18 @@ def _backward_node(node: Node) -> None:
         _accum(p[1], -g)
         return
     if op == "mul":
-        _accum(p[0], g * p[1].value)
-        _accum(p[1], g * p[0].value)
+        for q, other in ((p[0], p[1]), (p[1], p[0])):
+            if q.live:
+                dq = g * other.value
+                if dq.shape != q.value.shape:  # a broadcast row
+                    dq = dq.sum(axis=0, keepdims=True)
+                _accum(q, dq)
         return
     if op == "matmul":
-        _accum(p[0], g @ p[1].value.T)
-        _accum(p[1], p[0].value.T @ g)
-        return
-    if op == "input-gradient":
-        # Masks d0, d1 are constants of the differentiation; gradients flow
-        # to the critic weights only (input and biases get zero).
-        w0, w1 = p[1].value, p[3].value
-        d0, d1, u, pm, v = node.cache
-        vbar = g @ w0.T
-        _accum(p[1], v.T @ g)
-        pbar = vbar * d0
-        ubar = pbar @ w1.T
-        _accum(p[3], u.T @ pbar)
-        _accum(p[5], (d1 * ubar).sum(axis=0, keepdims=True))
+        if p[0].live:
+            _accum(p[0], g @ p[1].value.T)
+        if p[1].live:
+            _accum(p[1], p[0].value.T @ g)
         return
     raise GraphError(f"unknown op {op!r}")
 
@@ -610,8 +576,9 @@ def backward(root: Node, params):
             ps = node.attrs["params"]
             node.live = any(ps is s for s in sets) and \
                 ps.is_trainable(node.attrs["name"])
-        else:
-            node.live = any(q.live for q in node.parents)
+        else:  # no gradient passes through a mask
+            node.live = node.op != "leaky-relu-mask" and \
+                any(q.live for q in node.parents)
     if root.live:
         root.grad = np.ones_like(root.value)
     for node in reversed(order):
@@ -626,6 +593,20 @@ def backward(root: Node, params):
                 grads[node.attrs["name"]] += node.grad
         out.append(grads)
     return out[0] if isinstance(params, ParamSet) else out
+
+
+def update_running_stats(root: Node) -> None:
+    """Fold the batch statistics of each training-mode batch norm under an
+    evaluated `root` into its running averages; once per training step."""
+    for node in _topo_order(root):
+        if node.op != "batch-norm" or not node.attrs["training"]:
+            continue
+        if node.value is None:
+            raise GraphError("evaluate must run before update_running_stats")
+        state, m = node.attrs["state"], node.attrs["momentum"]
+        for name, batch in zip((node.attrs["mean_name"],
+                                node.attrs["var_name"]), node.cache[2:]):
+            state.set_value(name, m * state.value(name) + (1 - m) * batch)
 
 
 def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], rate: float,

@@ -111,16 +111,11 @@ def estimate_lda(vectors: np.ndarray, labels, r: int) -> np.ndarray:
     return evecs[:, order].T
 
 
-def estimate_transform(vectors, labels, r, length_norm=True,
-                       center_at=None) -> BackendTransform:
-    """Fit centering mean and LDA on labeled training vectors.
-
-    `center_at` overrides the centering mean (e.g. the mean of an
-    unlabeled adaptation set, applied to evaluation data).
-    """
+def estimate_transform(vectors, labels, r,
+                       length_norm=True) -> BackendTransform:
+    """Fit centering mean and LDA on labeled training vectors."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    mean = vectors.mean(axis=0) if center_at is None else \
-        np.asarray(center_at, dtype=np.float64)
+    mean = vectors.mean(axis=0)
     lda = estimate_lda(vectors - mean, labels, r)
     return BackendTransform(mean=mean, lda=lda, length_norm=length_norm)
 
@@ -283,11 +278,25 @@ def save_bundle(path, transform: BackendTransform, model: PldaModel) -> None:
 
 
 def load_bundle(path):
+    """Read a bundle; any malformed content raises `ValueError`."""
     with open(path, "rb") as f:
         r = container.Reader(f, "bundle")
         r.header(BUNDLE_MAGIC, BUNDLE_VERSION)
         meta = r.json("meta")
+        if not isinstance(meta, dict) or \
+                meta.get("length_norm") not in (True, False):
+            raise ValueError(f"bundle {path}: meta block must be an object "
+                             f"with a boolean 'length_norm', got {meta!r}")
         arrs = r.arrays(len(BUNDLE_ARRAYS), BUNDLE_ARRAYS)
+    dims = {}
+    for name, axes in (("lda", "rd"), ("mean", "d"), ("mu", "r"),
+                       ("between", "rr"), ("within", "rr")):
+        shape = arrs[name].shape
+        if len(shape) != len(axes) or \
+                any(dims.setdefault(a, n) != n for a, n in zip(axes, shape)):
+            raise ValueError(f"bundle {path}: array {name!r} has shape "
+                             f"{shape}, expected ({', '.join(axes)}) for "
+                             f"lda (r, d) = {arrs['lda'].shape}")
     transform = BackendTransform(mean=arrs["mean"], lda=arrs["lda"],
                                  length_norm=bool(meta["length_norm"]))
     model = PldaModel(mu=arrs["mu"], between=arrs["between"],

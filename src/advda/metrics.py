@@ -125,7 +125,9 @@ def score_trials(transform, model, embeddings: dict,
 def _split_scores(scores: ScoreSet, trials: TrialList):
     tgt, non = [], []
     for t in trials:
-        s = scores[(t.enroll, t.test)]
+        s = scores.scores.get((t.enroll, t.test))
+        if s is None:
+            raise ValueError(f"no score for trial {t.enroll} {t.test}")
         (tgt if t.target else non).append(s)
     if not tgt or not non:
         raise ValueError("need at least one target and one nontarget trial")

@@ -5,9 +5,9 @@ embedding: five context-spliced affine+relu+batchnorm layers, a
 mean/std pooling layer, then one affine layer whose pre-activation
 output is the embedding.  Two classifier heads (source and target
 speakers) continue from the embedding; a small leaky-relu critic maps
-embeddings to a scalar.  An optional binary domain flag can be appended
-to the input of every extractor affine layer, acting as a
-domain-dependent bias.
+embeddings to a scalar, differentiated by `critic_input_gradient` for
+the gradient penalty.  An optional binary domain flag can be appended
+to the input of every extractor affine layer as a domain-dependent bias.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class NetworkConfig:
         self.post_pool_widths = tuple(self.post_pool_widths)
         self.critic_widths = tuple(self.critic_widths)
         if len(self.critic_widths) != 2:
-            # the input-gradient op behind the gradient penalty is written
-            # for exactly two hidden critic layers
+            # `critic_input_gradient`, behind the gradient penalty, is
+            # written for exactly two hidden critic layers
             raise ValueError(f"critic_widths must have exactly 2 entries, "
                              f"got {self.critic_widths}")
         if len(self.tdnn_widths) != len(self.tdnn_contexts):
@@ -249,15 +249,33 @@ def build_classifier(params: NetworkParams, h: Node, head: str,
         params, classifier_trunk(params, h, training), head))
 
 
+def _critic_hidden(params: NetworkParams, h: Node):
+    """Pre-activations z0, z1 of the critic's two hidden layers."""
+    cr = params.critic
+    z0 = ad.affine(h, ad.param(cr, "W0"), ad.param(cr, "b0"))
+    z1 = ad.affine(ad.leaky_relu(z0, params.config.leaky_slope),
+                   ad.param(cr, "W1"), ad.param(cr, "b1"))
+    return z0, z1
+
+
 def build_critic(params: NetworkParams, h: Node) -> Node:
     """Critic graph from embeddings (n, d) to per-row scalars (n, 1)."""
+    _, z1 = _critic_hidden(params, h)
+    return ad.affine(ad.leaky_relu(z1, params.config.leaky_slope),
+                     ad.param(params.critic, "W2"),
+                     ad.param(params.critic, "b2"))
+
+
+def critic_input_gradient(params: NetworkParams, h: Node) -> Node:
+    """Rows W0' D0 W1' D1 W2' of d critic / d h, D0 and D1 the leaky-relu
+    masks; these pass no gradient, so the penalty gives biases none."""
     cr = params.critic
     slope = params.config.leaky_slope
-    x = ad.affine(h, ad.param(cr, "W0"), ad.param(cr, "b0"))
-    x = ad.leaky_relu(x, slope)
-    x = ad.affine(x, ad.param(cr, "W1"), ad.param(cr, "b1"))
-    x = ad.leaky_relu(x, slope)
-    return ad.affine(x, ad.param(cr, "W2"), ad.param(cr, "b2"))
+    z0, z1 = _critic_hidden(params, h)
+    u = ad.mul(ad.leaky_relu_mask(z1, slope), ad.param(cr, "W2"))
+    v = ad.mul(ad.matmul(u, ad.param(cr, "W1")),
+               ad.leaky_relu_mask(z0, slope))
+    return ad.matmul(v, ad.param(cr, "W0"))
 
 
 def _widest_frame_array(config: NetworkConfig) -> int:

@@ -8,6 +8,7 @@ and output digests, wall clock), and is deterministic given the seed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -41,6 +42,15 @@ def _strict(cls, data: dict, where: str):
         return cls(**data)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def _at_least(section, kind, **lows):
+    """Reject a field that is not a `kind` number at least its bound."""
+    for name, low in lows.items():
+        value = getattr(section, name)
+        if isinstance(value, bool) or not isinstance(value, kind) or \
+                value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
 @dataclass
@@ -101,10 +111,22 @@ class BackendSection:
     length_norm: bool = True
     pseudo_threshold: float | None = None  # cluster target labels if set
 
+    def __post_init__(self):
+        # lda_dim's upper bounds are in ExperimentConfig's cross checks
+        _at_least(self, int, lda_dim=1, plda_iterations=1)
+        _at_least(self, (int, float), xi=0, eta=0)
+        t = self.pseudo_threshold
+        if t is not None and not -1 <= t <= 1:  # a cosine similarity
+            raise ValueError(f"pseudo_threshold must lie in [-1, 1], "
+                             f"got {t!r}")
+
 
 @dataclass
 class TrialsSection:
     nontarget_per_target: int = 4
+
+    def __post_init__(self):
+        _at_least(self, int, nontarget_per_target=1)
 
 
 @dataclass
@@ -127,7 +149,10 @@ class ExperimentConfig:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         out = cls()
         if "seed" in data:
-            out.seed = int(data["seed"])
+            seed = data["seed"]
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ConfigError(f"seed: expected an integer, got {seed!r}")
+            out.seed = seed
         if "out_dir" in data:
             out.out_dir = str(data["out_dir"])
         if "corpus" in data:
@@ -158,10 +183,13 @@ class ExperimentConfig:
 
     def _check_across_sections(self, network, train_base, train_adapt):
         """Constraints that tie one section's values to another's."""
-        if self.backend.lda_dim > network.embed_dim:
-            raise ConfigError(
-                f"backend.lda_dim={self.backend.lda_dim} exceeds "
-                f"network.embed_dim={network.embed_dim}")
+        # LDA finds at most one direction fewer than there are classes
+        for key, bound in (("network.embed_dim", network.embed_dim),
+                           ("corpus.source_speakers-1",
+                            self.corpus.source_speakers - 1)):
+            if self.backend.lda_dim > bound:
+                raise ConfigError(f"backend.lda_dim={self.backend.lda_dim} "
+                                  f"exceeds {key}={bound}")
         for i, prior in enumerate(self.priors):
             if isinstance(prior, bool) or \
                     not isinstance(prior, (int, float)) or \
@@ -208,17 +236,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(cfg: ExperimentConfig, stage: str, inputs, outputs,
-                    elapsed: float) -> None:
-    manifest = {
-        "stage": stage,
-        "tool_version": TOOL_VERSION,
-        "config": cfg.to_dict(),
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
-        "wall_clock_s": elapsed,
-    }
-    path = cfg.path(f"{stage}.manifest.json")
+@contextlib.contextmanager
+def _stage(cfg: ExperimentConfig, name: str, inputs, outputs):
+    """Run a stage's body: check its inputs exist, time it, and write the
+    manifest for `outputs`.  A body that raises leaves no manifest."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    for p in inputs:
+        if not os.path.exists(p):
+            raise FileNotFoundError(f"stage {name!r} input missing: {p}")
+    t0 = time.monotonic()
+    yield
+    manifest = {"wall_clock_s": time.monotonic() - t0,  # before hashing
+                "stage": name, "tool_version": TOOL_VERSION,
+                "config": cfg.to_dict(),
+                "inputs": {p: _sha256(p) for p in inputs},
+                "outputs": {p: _sha256(p) for p in outputs}}
+    path = cfg.path(f"{name}.manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -226,12 +259,9 @@ def _write_manifest(cfg: ExperimentConfig, stage: str, inputs, outputs,
     os.replace(tmp, path)
 
 
-def _stage(cfg: ExperimentConfig, name: str, inputs: list):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for p in inputs:
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"stage {name!r} input missing: {p}")
-    return time.monotonic()
+def _set_paths(cfg: ExperimentConfig, name: str):
+    """Feature archive and manifest of the source, target or eval set."""
+    return cfg.path(f"{name}.xvf"), cfg.path(f"{name}.tsv")
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +270,29 @@ def _stage(cfg: ExperimentConfig, name: str, inputs: list):
 
 def cmd_synth(cfg: ExperimentConfig) -> dict:
     """Generate source, adaptation-target and evaluation archives + trials."""
-    t0 = _stage(cfg, "synth", [])
-    spec = cfg.corpus.spec(cfg.seed)
-    data = cp.generate_corpus(spec)
-    outputs = []
-    for domain in ("source", "target"):
-        archive, records = data[domain]
-        cp.write_archive(cfg.path(f"{domain}.xvf"), archive)
-        cp.write_manifest(cfg.path(f"{domain}.tsv"), records)
-        outputs += [cfg.path(f"{domain}.xvf"), cfg.path(f"{domain}.tsv")]
-    # evaluation set: fresh target-domain speakers under the same shift
-    eval_spec = cfg.corpus.spec(cfg.seed + 1000,
-                                target_speakers=cfg.corpus.eval_speakers,
-                                target_utts=cfg.corpus.eval_utts_per_speaker)
-    archive, records = cp.generate_domain(eval_spec, "target")
-    archive = {u.replace("tgt-", "ev-", 1): fr for u, fr in archive.items()}
-    records = [cp.ManifestRecord(r.utt_id.replace("tgt-", "ev-", 1),
-                                 r.speaker_id.replace("tgt-", "ev-", 1),
-                                 r.domain, r.language, r.frames)
-               for r in records]
-    cp.write_archive(cfg.path("eval.xvf"), archive)
-    cp.write_manifest(cfg.path("eval.tsv"), records)
-    trials = make_trials(records, cfg.trials.nontarget_per_target,
-                         seed=cfg.seed)
-    trials.write(cfg.path("trials.txt"))
-    outputs += [cfg.path("eval.xvf"), cfg.path("eval.tsv"),
-                cfg.path("trials.txt")]
-    _write_manifest(cfg, "synth", [], outputs, time.monotonic() - t0)
+    sets = {name: _set_paths(cfg, name)
+            for name in ("source", "target", "eval")}
+    trials_path = cfg.path("trials.txt")
+    outputs = [*sum(sets.values(), ()), trials_path]
+    with _stage(cfg, "synth", [], outputs):
+        data = cp.generate_corpus(cfg.corpus.spec(cfg.seed))
+        # evaluation set: fresh target-domain speakers under the same shift
+        eval_spec = cfg.corpus.spec(
+            cfg.seed + 1000, target_speakers=cfg.corpus.eval_speakers,
+            target_utts=cfg.corpus.eval_utts_per_speaker)
+        archive, records = cp.generate_domain(eval_spec, "target")
+        data["eval"] = (
+            {u.replace("tgt-", "ev-", 1): fr for u, fr in archive.items()},
+            [cp.ManifestRecord(r.utt_id.replace("tgt-", "ev-", 1),
+                               r.speaker_id.replace("tgt-", "ev-", 1),
+                               r.domain, r.language, r.frames)
+             for r in records])
+        for name, (xvf, tsv) in sets.items():
+            archive, records = data[name]
+            cp.write_archive(xvf, archive)
+            cp.write_manifest(tsv, records)
+        make_trials(data["eval"][1], cfg.trials.nontarget_per_target,
+                    seed=cfg.seed).write(trials_path)
     return {"outputs": outputs}
 
 
@@ -309,101 +335,80 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
     return mt.TrialList(trials)
 
 
-def _load_feats(cfg, name):
-    archive = cp.read_archive(cfg.path(f"{name}.xvf"))
-    records = cp.read_manifest(cfg.path(f"{name}.tsv"))
-    return archive, records
-
-
-def _network_config(cfg: ExperimentConfig, n_source: int, n_target: int,
-                    use_bit: bool) -> net.NetworkConfig:
-    overrides = dict(cfg.network)
-    overrides.setdefault("frame_dim", cfg.corpus.frame_dim)
-    overrides["n_source_classes"] = n_source
-    overrides["n_target_classes"] = n_target
-    overrides["use_domain_bit"] = use_bit
-    return net.NetworkConfig(**overrides)
+def _load_feats(xvf, tsv):
+    return cp.read_archive(xvf), cp.read_manifest(tsv)
 
 
 def cmd_train_base(cfg: ExperimentConfig) -> str:
     """Train the source-only baseline network and checkpoint it."""
-    inputs = [cfg.path("source.xvf"), cfg.path("source.tsv"),
-              cfg.path("target.tsv")]
-    t0 = _stage(cfg, "train_base", inputs)
-    src_feats, src_records = _load_feats(cfg, "source")
-    tgt_records = cp.read_manifest(cfg.path("target.tsv"))
-    src_labels = tr.labels_from_manifest(src_records)
-    n_source = len(set(src_labels.values()))
-    n_target = len({r.speaker_id for r in tgt_records})
-    # the baseline allocates a domain-bit network so every adaptation
-    # mode can start from the same checkpoint
-    ncfg = _network_config(cfg, n_source, n_target, use_bit=True)
-    params = net.init_network(ncfg, seed=cfg.seed)
-    tcfg = tr.TrainConfig(**{**cfg.train_base, "seed": cfg.seed})
-    params, log = tr.train_baseline(params, tcfg, src_feats, src_labels)
-    out = cfg.path("base.ckpt")
-    net.save_checkpoint(out, params)
-    tr.write_train_log(cfg.path("base.log.jsonl"), log)
-    _write_manifest(cfg, "train_base", inputs,
-                    [out, cfg.path("base.log.jsonl")],
-                    time.monotonic() - t0)
+    source = _set_paths(cfg, "source")
+    tgt_tsv = cfg.path("target.tsv")
+    out, log_path = cfg.path("base.ckpt"), cfg.path("base.log.jsonl")
+    with _stage(cfg, "train_base", [*source, tgt_tsv], [out, log_path]):
+        src_feats, src_records = _load_feats(*source)
+        src_labels = tr.labels_from_manifest(src_records)
+        n_source = len(set(src_labels.values()))
+        n_target = len({r.speaker_id for r in cp.read_manifest(tgt_tsv)})
+        # the baseline allocates a domain-bit network so every adaptation
+        # mode can start from the same checkpoint
+        ncfg = net.NetworkConfig(**{
+            "frame_dim": cfg.corpus.frame_dim, **cfg.network,
+            "n_source_classes": n_source, "n_target_classes": n_target,
+            "use_domain_bit": True})
+        params = net.init_network(ncfg, seed=cfg.seed)
+        tcfg = tr.TrainConfig(**{**cfg.train_base, "seed": cfg.seed})
+        params, log = tr.train_baseline(params, tcfg, src_feats, src_labels)
+        net.save_checkpoint(out, params)
+        tr.write_train_log(log_path, log)
     return out
 
 
 def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
     """Adapt the baseline checkpoint with the given mode and scope."""
     tag = tag_for(mode, scope)
-    inputs = [cfg.path("base.ckpt"), cfg.path("source.xvf"),
-              cfg.path("source.tsv"), cfg.path("target.xvf"),
-              cfg.path("target.tsv")]
-    t0 = _stage(cfg, f"adapt_{tag}", inputs)
-    params = net.load_checkpoint(cfg.path("base.ckpt"))
-    src_feats, src_records = _load_feats(cfg, "source")
-    tgt_feats, tgt_records = _load_feats(cfg, "target")
-    src_labels = tr.labels_from_manifest(src_records)
-    tcfg = tr.TrainConfig(**{**cfg.train_adapt, "mode": mode,
-                             "scope": scope, "seed": cfg.seed})
-    target_labels = None
-    if tcfg.supervised_target:
-        if cfg.backend.pseudo_threshold is not None:
-            target_labels = tr.pseudo_label_utterances(
-                params, tgt_feats, cfg.backend.pseudo_threshold, bit=1)
-            net.resize_target_head(params,
-                                   len(set(target_labels.values())),
-                                   seed=cfg.seed)
-        else:
-            target_labels = tr.labels_from_manifest(tgt_records)
-    params, log = tr.train(params, tcfg, src_feats, src_labels, tgt_feats,
-                           target_labels)
+    base = cfg.path("base.ckpt")
+    source, target = _set_paths(cfg, "source"), _set_paths(cfg, "target")
     out = cfg.path(f"adapt_{tag}.ckpt")
-    net.save_checkpoint(out, params)
-    tr.write_train_log(cfg.path(f"adapt_{tag}.log.jsonl"), log)
-    _write_manifest(cfg, f"adapt_{tag}", inputs,
-                    [out, cfg.path(f"adapt_{tag}.log.jsonl")],
-                    time.monotonic() - t0)
+    log_path = cfg.path(f"adapt_{tag}.log.jsonl")
+    with _stage(cfg, f"adapt_{tag}", [base, *source, *target],
+                [out, log_path]):
+        params = net.load_checkpoint(base)
+        src_feats, src_records = _load_feats(*source)
+        tgt_feats, tgt_records = _load_feats(*target)
+        src_labels = tr.labels_from_manifest(src_records)
+        tcfg = tr.TrainConfig(**{**cfg.train_adapt, "mode": mode,
+                                 "scope": scope, "seed": cfg.seed})
+        target_labels = None
+        if tcfg.supervised_target:
+            if cfg.backend.pseudo_threshold is not None:
+                target_labels = tr.pseudo_label_utterances(
+                    params, tgt_feats, cfg.backend.pseudo_threshold, bit=1)
+                net.resize_target_head(params,
+                                       len(set(target_labels.values())),
+                                       seed=cfg.seed)
+            else:
+                target_labels = tr.labels_from_manifest(tgt_records)
+        params, log = tr.train(params, tcfg, src_feats, src_labels,
+                               tgt_feats, target_labels)
+        net.save_checkpoint(out, params)
+        tr.write_train_log(log_path, log)
     return out
 
 
 def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> dict:
     """Extract embeddings for the source, target and eval sets."""
-    inputs = [checkpoint] + [cfg.path(f"{n}.{e}") for n in
-                             ("source", "target", "eval")
-                             for e in ("xvf", "tsv")]
-    t0 = _stage(cfg, f"extract_{tag}", inputs)
-    params = net.load_checkpoint(checkpoint)
-    outputs = []
-    for name in ("source", "target", "eval"):
-        feats, records = _load_feats(cfg, name)
-        vecs = net.extract_embeddings(
-            params, [feats[r.utt_id] for r in records],
-            [0 if r.domain == "source" else 1 for r in records])
-        embs = {r.utt_id: vec[None, :].astype(np.float32)
-                for r, vec in zip(records, vecs)}
-        out = cfg.path(f"emb_{name}_{tag}.xvf")
-        cp.write_archive(out, embs)
-        outputs.append(out)
-    _write_manifest(cfg, f"extract_{tag}", inputs, outputs,
-                    time.monotonic() - t0)
+    names = ("source", "target", "eval")
+    sets = [_set_paths(cfg, name) for name in names]
+    outputs = [cfg.path(f"emb_{name}_{tag}.xvf") for name in names]
+    with _stage(cfg, f"extract_{tag}", [checkpoint, *sum(sets, ())], outputs):
+        params = net.load_checkpoint(checkpoint)
+        for paths, out in zip(sets, outputs):
+            feats, records = _load_feats(*paths)
+            vecs = net.extract_embeddings(
+                params, [feats[r.utt_id] for r in records],
+                [0 if r.domain == "source" else 1 for r in records])
+            cp.write_archive(out, {r.utt_id: vec[None, :].astype(np.float32)
+                                   for r, vec in zip(records, vecs)})
     return {"outputs": outputs}
 
 
@@ -414,29 +419,28 @@ def _read_embeddings(path) -> dict:
 
 def cmd_backend(cfg: ExperimentConfig, tag: str) -> str:
     """LDA + PLDA on source embeddings; center scoring at the target mean."""
-    inputs = [cfg.path(f"emb_source_{tag}.xvf"),
-              cfg.path(f"emb_target_{tag}.xvf"), cfg.path("source.tsv")]
-    t0 = _stage(cfg, f"backend_{tag}", inputs)
-    src_embs = _read_embeddings(cfg.path(f"emb_source_{tag}.xvf"))
-    tgt_embs = _read_embeddings(cfg.path(f"emb_target_{tag}.xvf"))
-    src_records = cp.read_manifest(cfg.path("source.tsv"))
-    labels_map = tr.labels_from_manifest(src_records)
-    uids = sorted(src_embs)
-    vectors = np.stack([src_embs[u] for u in uids])
-    labels = np.asarray([labels_map[u] for u in uids])
-    bs = cfg.backend
-    train_tf = be.estimate_transform(vectors, labels, bs.lda_dim,
-                                     length_norm=bs.length_norm)
-    projected = np.stack([be.apply_transform(train_tf, v) for v in vectors])
-    model = be.plda_train_em(projected, labels, bs.plda_iterations)
-    # evaluation data is centered at the adaptation-set mean instead
-    adapt_mean = np.stack(list(tgt_embs.values())).mean(axis=0)
-    eval_tf = be.BackendTransform(mean=adapt_mean, lda=train_tf.lda,
-                                  length_norm=bs.length_norm)
+    src_emb = cfg.path(f"emb_source_{tag}.xvf")
+    tgt_emb = cfg.path(f"emb_target_{tag}.xvf")
+    src_tsv = cfg.path("source.tsv")
     out = cfg.path(f"backend_{tag}.advb")
-    be.save_bundle(out, eval_tf, model)
-    _write_manifest(cfg, f"backend_{tag}", inputs, [out],
-                    time.monotonic() - t0)
+    with _stage(cfg, f"backend_{tag}", [src_emb, tgt_emb, src_tsv], [out]):
+        src_embs = _read_embeddings(src_emb)
+        tgt_embs = _read_embeddings(tgt_emb)
+        labels_map = tr.labels_from_manifest(cp.read_manifest(src_tsv))
+        uids = sorted(src_embs)
+        vectors = np.stack([src_embs[u] for u in uids])
+        labels = np.asarray([labels_map[u] for u in uids])
+        bs = cfg.backend
+        train_tf = be.estimate_transform(vectors, labels, bs.lda_dim,
+                                         length_norm=bs.length_norm)
+        projected = np.stack([be.apply_transform(train_tf, v)
+                              for v in vectors])
+        model = be.plda_train_em(projected, labels, bs.plda_iterations)
+        # evaluation data is centered at the adaptation-set mean instead
+        adapt_mean = np.stack(list(tgt_embs.values())).mean(axis=0)
+        eval_tf = be.BackendTransform(mean=adapt_mean, lda=train_tf.lda,
+                                      length_norm=bs.length_norm)
+        be.save_bundle(out, eval_tf, model)
     return out
 
 
@@ -444,68 +448,62 @@ def cmd_backend_adapt(cfg: ExperimentConfig, tag: str,
                       xi: float | None = None,
                       eta: float | None = None) -> str:
     """Kaldi-style covariance adaptation of the PLDA on target embeddings."""
-    inputs = [cfg.path(f"backend_{tag}.advb"),
-              cfg.path(f"emb_target_{tag}.xvf")]
-    t0 = _stage(cfg, f"backend_adapt_{tag}", inputs)
-    transform, model = be.load_bundle(cfg.path(f"backend_{tag}.advb"))
-    tgt_embs = _read_embeddings(cfg.path(f"emb_target_{tag}.xvf"))
-    vectors = np.stack([be.apply_transform(transform, v)
-                        for v in tgt_embs.values()])
-    p = be.AdaptParams(xi=cfg.backend.xi if xi is None else xi,
-                       eta=cfg.backend.eta if eta is None else eta)
-    adapted = be.plda_adapt(model, vectors, p)
+    bundle = cfg.path(f"backend_{tag}.advb")
+    tgt_emb = cfg.path(f"emb_target_{tag}.xvf")
     out = cfg.path(f"backend_{tag}_adapted.advb")
-    be.save_bundle(out, transform, adapted)
-    _write_manifest(cfg, f"backend_adapt_{tag}", inputs, [out],
-                    time.monotonic() - t0)
+    with _stage(cfg, f"backend_adapt_{tag}", [bundle, tgt_emb], [out]):
+        transform, model = be.load_bundle(bundle)
+        vectors = np.stack([be.apply_transform(transform, v)
+                            for v in _read_embeddings(tgt_emb).values()])
+        p = be.AdaptParams(xi=cfg.backend.xi if xi is None else xi,
+                           eta=cfg.backend.eta if eta is None else eta)
+        be.save_bundle(out, transform, be.plda_adapt(model, vectors, p))
     return out
 
 
 def cmd_score(cfg: ExperimentConfig, tag: str, adapted: bool = False) -> str:
     suffix = "_adapted" if adapted else ""
     bundle = cfg.path(f"backend_{tag}{suffix}.advb")
-    inputs = [bundle, cfg.path(f"emb_eval_{tag}.xvf"), cfg.path("trials.txt")]
-    t0 = _stage(cfg, f"score_{tag}{suffix}", inputs)
-    transform, model = be.load_bundle(bundle)
-    embs = _read_embeddings(cfg.path(f"emb_eval_{tag}.xvf"))
-    trials = mt.TrialList.read(cfg.path("trials.txt"))
-    scores = mt.score_trials(transform, model, embs, trials)
+    eval_emb = cfg.path(f"emb_eval_{tag}.xvf")
+    trials_path = cfg.path("trials.txt")
     out = cfg.path(f"scores_{tag}{suffix}.txt")
-    scores.write(out)
-    _write_manifest(cfg, f"score_{tag}{suffix}", inputs, [out],
-                    time.monotonic() - t0)
+    with _stage(cfg, f"score_{tag}{suffix}", [bundle, eval_emb, trials_path],
+                [out]):
+        transform, model = be.load_bundle(bundle)
+        mt.score_trials(transform, model, _read_embeddings(eval_emb),
+                        mt.TrialList.read(trials_path)).write(out)
     return out
 
 
 def cmd_eval(cfg: ExperimentConfig, tag: str, adapted: bool = False) -> dict:
     suffix = "_adapted" if adapted else ""
-    inputs = [cfg.path(f"scores_{tag}{suffix}.txt"), cfg.path("trials.txt")]
-    t0 = _stage(cfg, f"eval_{tag}{suffix}", inputs)
-    scores = mt.ScoreSet.read(cfg.path(f"scores_{tag}{suffix}.txt"))
-    trials = mt.TrialList.read(cfg.path("trials.txt"))
-    report = mt.evaluation_report(scores, trials, cfg.priors)
+    scores_path = cfg.path(f"scores_{tag}{suffix}.txt")
+    trials_path = cfg.path("trials.txt")
     out = cfg.path(f"report_{tag}{suffix}.json")
-    mt.write_report(out, report)
-    _write_manifest(cfg, f"eval_{tag}{suffix}", inputs, [out],
-                    time.monotonic() - t0)
+    with _stage(cfg, f"eval_{tag}{suffix}", [scores_path, trials_path],
+                [out]):
+        report = mt.evaluation_report(mt.ScoreSet.read(scores_path),
+                                      mt.TrialList.read(trials_path),
+                                      cfg.priors)
+        mt.write_report(out, report)
     return report
 
 
 def cmd_report(cfg: ExperimentConfig) -> dict:
     """Collect all per-mode reports into one comparison table."""
-    t0 = _stage(cfg, "report", [])
-    rows = {}
-    for fname in sorted(os.listdir(cfg.out_dir)):
-        if fname.startswith("report_") and fname.endswith(".json"):
-            with open(cfg.path(fname)) as f:
-                rows[fname[len("report_"):-len(".json")]] = json.load(f)
-    if not rows:
-        raise FileNotFoundError("no per-mode reports found; run eval first")
     out = cfg.path("comparison.json")
-    with open(out, "w") as f:
-        json.dump(rows, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_manifest(cfg, "report", [], [out], time.monotonic() - t0)
+    with _stage(cfg, "report", [], [out]):
+        rows = {}
+        for fname in sorted(os.listdir(cfg.out_dir)):
+            if fname.startswith("report_") and fname.endswith(".json"):
+                with open(cfg.path(fname)) as f:
+                    rows[fname[len("report_"):-len(".json")]] = json.load(f)
+        if not rows:
+            raise FileNotFoundError("no per-mode reports found; run eval "
+                                    "first")
+        with open(out, "w") as f:
+            json.dump(rows, f, indent=2, sort_keys=True)
+            f.write("\n")
     return rows
 
 

@@ -42,7 +42,6 @@ class TrainConfig:
     source_loss_weight: float = 0.8
     target_loss_weight: float = 0.2
     seed: int = 0
-    checkpoint_every: int = 0     # 0 disables periodic checkpoints
 
     def __post_init__(self):
         self.segment_frames = tuple(self.segment_frames)
@@ -178,8 +177,7 @@ def sample_interpolates(hs: np.ndarray, ht: np.ndarray, rng) -> np.ndarray:
 
 def gradient_penalty_graph(params: NetworkParams, hhat: ad.Node,
                            n_rows: int) -> ad.Node:
-    grad = ad.critic_input_gradient(params.critic, hhat,
-                                    params.config.leaky_slope)
+    grad = net.critic_input_gradient(params, hhat)
     norms = ad.sqrt(ad.sum_(ad.square(grad), axis=1))
     diff = ad.sub(norms, ad.const(np.ones((n_rows, 1))))
     return ad.mean(ad.square(diff))
@@ -283,6 +281,7 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
     for t in terms[1:]:
         loss = ad.add(loss, t)
     ad.evaluate(loss, reset=False)
+    ad.update_running_stats(loss)
     g_heads, g_ext = ad.backward(loss, [params.heads, params.extractor])
     ad.sgd_step(params.heads, g_heads, rate, "descend")
     ad.sgd_step(params.extractor, g_ext, rate, "descend")
@@ -352,8 +351,7 @@ def _apply_scope(params: NetworkParams, cfg: TrainConfig):
 
 def train(params: NetworkParams, cfg: TrainConfig,
           source_feats: dict, source_labels: dict,
-          target_feats: dict, target_labels: dict | None = None,
-          checkpoint_dir=None):
+          target_feats: dict, target_labels: dict | None = None):
     """Run the full adaptation loop; returns (params, train log).
 
     `params` is typically a pre-trained baseline.  `target_labels` (true
@@ -414,16 +412,11 @@ def train(params: NetworkParams, cfg: TrainConfig,
             "rate_main": rate2,
         }
         log.append(record)
-        if checkpoint_dir and cfg.checkpoint_every and \
-                (epoch + 1) % cfg.checkpoint_every == 0:
-            net.save_checkpoint(
-                f"{checkpoint_dir}/epoch{epoch + 1:04d}.ckpt", params)
     return params, log
 
 
 def train_baseline(params: NetworkParams, cfg: TrainConfig,
-                   source_feats: dict, source_labels: dict,
-                   checkpoint_dir=None):
+                   source_feats: dict, source_labels: dict):
     """Source-only classifier training (the pre-adaptation model).
 
     No critic, no target data: plain normalized cross-entropy descent on
@@ -451,6 +444,7 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
                                         training=True)
             loss = ad.cross_entropy(logp, [it.label for it in items], ls_norm)
             ad.evaluate(loss)
+            ad.update_running_stats(loss)
             g_heads, g_ext = ad.backward(loss,
                                          [params.heads, params.extractor])
             ad.sgd_step(params.heads, g_heads, rate, "descend")
@@ -459,10 +453,6 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
         log.append({"epoch": epoch, "l_wd": None, "l_grad": None,
                     "source_ce": float(np.mean(ce_vals)), "target_ce": None,
                     "rate_critic": None, "rate_main": rate})
-        if checkpoint_dir and cfg.checkpoint_every and \
-                (epoch + 1) % cfg.checkpoint_every == 0:
-            net.save_checkpoint(
-                f"{checkpoint_dir}/base{epoch + 1:04d}.ckpt", params)
     return params, log
 
 

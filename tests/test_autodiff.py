@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advda import autodiff as ad
+from advda import network as net
 from advda.autodiff import GraphError, ParamSet
 
 from conftest import fd_all_gradients, fd_param_gradient, rel_err
@@ -260,6 +261,25 @@ def test_fd_elementwise_and_matmul(rng):
     _check_grads(root, ps)
 
 
+def test_fd_mul_broadcast_row(rng):
+    # a (1, k) operand scales every row; its gradient sums over the rows
+    ps = _params_with(rng, a=(4, 3), w=(1, 3))
+    a, w = ad.param(ps, "a"), ad.param(ps, "w")
+    _check_grads(ad.mean(ad.square(ad.add(ad.mul(a, w), ad.mul(w, a)))), ps)
+
+
+def test_leaky_relu_mask_passes_no_gradient(rng):
+    ps = _params_with(rng, x=(3, 4))
+    x = ad.param(ps, "x")
+    mask = ad.leaky_relu_mask(x, 0.2)
+    root = ad.sum_(ad.mul(mask, x))
+    ad.evaluate(root)
+    np.testing.assert_array_equal(
+        mask.value, np.where(ps.value("x") > 0, 1.0, 0.2))
+    # d/dx of mask * x with the mask held constant is the mask
+    np.testing.assert_array_equal(ad.backward(root, ps)["x"], mask.value)
+
+
 def test_fd_sqrt_sum_scale_slice(rng):
     ps = ParamSet()
     ps.add("x", rng.uniform(0.5, 2.0, size=(5, 3)))
@@ -365,20 +385,56 @@ def test_batch_norm_normalizes_batch(rng):
     assert np.abs(out.var(axis=0) - 1.0).max() <= 1e-6
 
 
-def test_batch_norm_running_average_update():
-    x = np.array([[1.0, 2.0], [3.0, 6.0]])
+def _bn_graph(x, training):
     ps = ParamSet()
     ps.add("gamma", np.ones(2))
     ps.add("beta", np.zeros(2))
     state = ParamSet()
     state.add("rm", np.zeros(2), trainable=False)
     state.add("rv", np.ones(2), trainable=False)
-    ad.evaluate(ad.batch_norm(ad.const(x), ad.param(ps, "gamma"),
-                              ad.param(ps, "beta"), state, "rm", "rv",
-                              training=True, momentum=0.95))
+    node = ad.batch_norm(ad.const(x), ad.param(ps, "gamma"),
+                         ad.param(ps, "beta"), state, "rm", "rv",
+                         training=training, momentum=0.95)
+    return node, state
+
+
+def test_batch_norm_running_average_update():
+    x = np.array([[1.0, 2.0], [3.0, 6.0]])
+    node, state = _bn_graph(x, training=True)
+    ad.evaluate(node)
+    ad.update_running_stats(node)
     np.testing.assert_allclose(state.value("rm"), 0.05 * x.mean(axis=0))
     np.testing.assert_allclose(state.value("rv"),
                                0.95 + 0.05 * x.var(axis=0))
+
+
+def test_running_stats_folded_once_per_update():
+    # evaluate writes nothing; one update after two evaluations folds
+    # the batch statistics once
+    x = np.array([[1.0, 2.0], [3.0, 6.0], [-2.0, 0.5]])
+    node, state = _bn_graph(x, training=True)
+    root = ad.sum_(ad.add(node, node))
+    for _ in range(2):
+        ad.evaluate(root)
+        np.testing.assert_array_equal(state.value("rm"), np.zeros(2))
+        np.testing.assert_array_equal(state.value("rv"), np.ones(2))
+    ad.update_running_stats(root)
+    m = 0.95
+    np.testing.assert_array_equal(state.value("rm"),
+                                  m * 0.0 + (1 - m) * x.mean(axis=0))
+    np.testing.assert_array_equal(state.value("rv"),
+                                  m * 1.0 + (1 - m) * x.var(axis=0))
+
+
+def test_running_stats_update_needs_training_graph_evaluated():
+    x = np.array([[1.0, 2.0], [3.0, 6.0]])
+    node, state = _bn_graph(x, training=False)
+    ad.evaluate(node)
+    ad.update_running_stats(node)  # inference mode: nothing to fold
+    np.testing.assert_array_equal(state.value("rm"), np.zeros(2))
+    node, _ = _bn_graph(x, training=True)
+    with pytest.raises(GraphError, match="evaluate must run"):
+        ad.update_running_stats(node)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +450,16 @@ def _critic(rng, d=5, u0=6, u1=4):
     ps.add("W2", rng.uniform(-1, 1, size=(1, u1)))
     ps.add("b2", rng.uniform(-1, 1, size=1))
     return ps
+
+
+def _critic_net(ps, slope=0.2):
+    """Network whose critic is `ps`; the other parameter sets are empty."""
+    d = ps.value("W0").shape[1]
+    cfg = net.NetworkConfig(embed_dim=d, post_pool_widths=(d, d),
+                            critic_widths=(ps.value("W0").shape[0],
+                                           ps.value("W1").shape[0]),
+                            leaky_slope=slope)
+    return net.NetworkParams(cfg, ParamSet(), ParamSet(), ps)
 
 
 def _critic_value(ps, h, slope=0.2):
@@ -416,14 +482,14 @@ def test_input_gradient_linear_critic(rng):
     ps.add("W2", w)
     ps.add("b2", np.zeros(1))
     h = rng.uniform(-2, 2, size=(4, d))
-    out = ad.evaluate(ad.critic_input_gradient(ps, ad.const(h), 0.2))
+    out = ad.evaluate(net.critic_input_gradient(_critic_net(ps), ad.const(h)))
     np.testing.assert_allclose(out, np.tile(w, (4, 1)), rtol=1e-12)
 
 
 def test_input_gradient_matches_fd_over_h(rng):
     ps = _critic(rng)
     h = rng.uniform(-2, 2, size=(6, 5))
-    out = ad.evaluate(ad.critic_input_gradient(ps, ad.const(h), 0.2))
+    out = ad.evaluate(net.critic_input_gradient(_critic_net(ps), ad.const(h)))
     step = 1e-5
     fd = np.zeros_like(h)
     for i in range(h.shape[0]):
@@ -440,7 +506,7 @@ def test_gradient_penalty_param_grads_match_fd(rng):
     # second-order check: d/dparams of (||grad_h f_w|| - 1)^2
     ps = _critic(rng)
     h = rng.uniform(-2, 2, size=(5, 5))
-    grad_node = ad.critic_input_gradient(ps, ad.const(h), 0.2)
+    grad_node = net.critic_input_gradient(_critic_net(ps), ad.const(h))
     norms = ad.sqrt(ad.sum_(ad.square(grad_node), axis=1))
     root = ad.mean(ad.square(ad.sub(norms, ad.const(np.ones((5, 1))))))
     ad.evaluate(root)

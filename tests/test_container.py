@@ -1,6 +1,8 @@
 """Round trips and damaged-file handling of the three binary formats that
 share `advda.container`: checkpoints, backend bundles and archives."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,9 +25,6 @@ TINY = net.NetworkConfig(frame_dim=3, tdnn_widths=(4,),
                          use_domain_bit=True)
 
 f64 = st.floats(allow_nan=True, allow_infinity=True)
-f64_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
-                                                     min_side=0, max_side=4),
-                        elements=f64)
 archives = st.dictionaries(
     st.text(max_size=6),
     hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -49,8 +48,12 @@ def random_params(data):
 
 
 def random_bundle(data):
-    mean, lda, mu, between, within = (data.draw(f64_arrays)
-                                      for _ in be.BUNDLE_ARRAYS)
+    # random values in the shapes a bundle must have: mean (d,),
+    # lda (r, d), mu (r,), between and within (r, r)
+    r, d = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    mean, lda, mu, between, within = (
+        data.draw(hnp.arrays(np.float64, shape, elements=f64))
+        for shape in ((d,), (r, d), (r,), (r, r), (r, r)))
     return (BackendTransform(mean=mean, lda=lda,
                              length_norm=data.draw(st.booleans())),
             PldaModel(mu=mu, between=between, within=within))
@@ -155,11 +158,15 @@ def test_truncation_names_kind_and_offset(tmp_path):
 # array names must match the format's
 
 
-def write_bundle(path, names):
+def write_bundle(path, names, meta=None, shapes=None):
+    """A bundle whose arrays are zeros of `shapes` (2 x 2 by default)."""
+    shapes = shapes or {}
     with open(path, "wb") as f:
         container.write_header(f, be.BUNDLE_MAGIC, be.BUNDLE_VERSION)
-        container.write_json(f, {"length_norm": True})
-        container.write_arrays(f, [(n, np.eye(2)) for n in names])
+        container.write_json(f, {"length_norm": True} if meta is None
+                             else meta)
+        container.write_arrays(f, [(n, np.zeros(shapes.get(n, (2, 2))))
+                                   for n in names])
 
 
 @pytest.mark.parametrize("names, message", [
@@ -170,6 +177,42 @@ def test_bundle_rejects_bad_names(tmp_path, names, message):
     path = tmp_path / "backend.advb"
     write_bundle(path, names)
     with pytest.raises(ValueError, match=message):
+        be.load_bundle(path)
+
+
+GOOD_SHAPES = {"mean": (3,), "lda": (2, 3), "mu": (2,), "between": (2, 2),
+               "within": (2, 2)}
+
+
+def test_bundle_of_good_shapes_loads(tmp_path):
+    path = tmp_path / "backend.advb"
+    write_bundle(path, be.BUNDLE_ARRAYS, shapes=GOOD_SHAPES)
+    transform, model = be.load_bundle(path)
+    assert transform.lda.shape == (2, 3) and model.within.shape == (2, 2)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ([True], "meta block must be an object"),
+    ({}, "boolean 'length_norm'"),
+    ({"length_norm": "yes"}, "boolean 'length_norm'"),
+])
+def test_bundle_rejects_bad_meta(tmp_path, meta, message):
+    path = tmp_path / "backend.advb"
+    write_bundle(path, be.BUNDLE_ARRAYS, meta=meta, shapes=GOOD_SHAPES)
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"bundle {where}: .*{message}"):
+        be.load_bundle(path)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("mean", (2,)), ("lda", (2, 3, 1)), ("mu", (3,)), ("between", (3, 3)),
+    ("within", (2, 3)),
+])
+def test_bundle_rejects_inconsistent_shapes(tmp_path, name, shape):
+    path = tmp_path / "backend.advb"
+    write_bundle(path, be.BUNDLE_ARRAYS, shapes={**GOOD_SHAPES, name: shape})
+    where = re.escape(str(path))
+    with pytest.raises(ValueError, match=f"bundle {where}: array '{name}'"):
         be.load_bundle(path)
 
 

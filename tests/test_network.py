@@ -480,6 +480,7 @@ def test_segmented_graph_equals_per_utterance_graphs(rng):
         emb = build(params, ad.const(frames), counts, bits, True)
         root = ad.mean(ad.square(ad.mul(emb, ad.const(weights))))
         ad.evaluate(root)
+        ad.update_running_stats(root)
         grads = ad.backward(root, params.extractor)
         results.append((emb.value, grads, params.extractor))
     (e1, g1, ps1), (e2, g2, ps2) = results

@@ -90,6 +90,9 @@ def test_config_rejects_unknown_section_key():
         ExperimentConfig.from_dict({"network": {"hidden": 3}})
     with pytest.raises(ConfigError, match="train_adapt"):
         ExperimentConfig.from_dict({"train_adapt": {"lr": 0.1}})
+    # periodic checkpoints are gone: the key is rejected, not ignored
+    with pytest.raises(ConfigError, match="unknown keys.*checkpoint_every"):
+        ExperimentConfig.from_dict({"train_adapt": {"checkpoint_every": 5}})
 
 
 def test_config_rejects_bad_section_values():
@@ -121,6 +124,26 @@ def test_config_rejects_bad_section_values():
      r"train_base\.segment_frames\[0\]=2 frames .* offset 2"),
     ({"train_adapt": {"segment_frames": [1, 9]}},
      r"train_adapt\.segment_frames\[0\]=1"),
+    ({"trials": {"nontarget_per_target": 0}},
+     "trials: nontarget_per_target must be at least 1, got 0"),
+    ({"backend": {"lda_dim": 0}}, "backend: lda_dim must be at least 1"),
+    ({"backend": {"lda_dim": 8}, "corpus": {"source_speakers": 6}},
+     r"backend\.lda_dim=8 exceeds corpus\.source_speakers-1=5"),
+    ({"backend": {"plda_iterations": 0}},
+     "backend: plda_iterations must be at least 1, got 0"),
+    ({"backend": {"xi": -0.1}}, "backend: xi must be at least 0, got -0.1"),
+    ({"backend": {"eta": -1}}, "backend: eta must be at least 0, got -1"),
+    ({"backend": {"pseudo_threshold": 5}},
+     r"backend: pseudo_threshold must lie in \[-1, 1\], got 5"),
+    ({"backend": {"pseudo_threshold": -1.5}}, "backend: pseudo_threshold"),
+    ({"backend": {"lda_dim": "8"}}, "backend: lda_dim must be at least 1, "
+                                    "got '8'"),
+    ({"backend": {"plda_iterations": 2.5}},
+     "backend: plda_iterations must be at least 1, got 2.5"),
+    ({"trials": {"nontarget_per_target": True}},
+     "trials: nontarget_per_target must be at least 1, got True"),
+    ({"seed": 1.7}, "seed: expected an integer, got 1.7"),
+    ({"seed": "abc"}, "seed: expected an integer, got 'abc'"),
 ])
 def test_config_rejects_inconsistent_sections(data, match):
     with pytest.raises(ConfigError, match=match):
@@ -133,6 +156,16 @@ def test_config_accepts_segments_just_longer_than_context():
          "train_base": {"segment_frames": [4, 9]},
          "backend": {"lda_dim": 64}, "priors": [0.5, 0.25]})
     assert cfg.corpus.frames_range == [4, 9]
+
+
+def test_config_accepts_boundary_values():
+    cfg = ExperimentConfig.from_dict(
+        {"seed": 0, "corpus": {"source_speakers": 6},
+         "backend": {"lda_dim": 5, "plda_iterations": 1, "xi": 0.0,
+                     "eta": 0, "pseudo_threshold": -1.0},
+         "trials": {"nontarget_per_target": 1}})
+    assert cfg.backend.lda_dim == 5 and cfg.seed == 0
+    ExperimentConfig.from_dict({"backend": {"pseudo_threshold": 1}})
 
 
 def test_config_rejects_non_object_section():
@@ -270,6 +303,18 @@ def test_cmd_eval_hand_built_example(tmp_path):
     assert report["min_dcf_001"] == 0.0
     on_disk = read_json(cfg.path("report_demo.json"))
     assert on_disk == report
+
+
+def test_cmd_eval_rejects_score_file_missing_a_trial(tmp_path):
+    cfg = ExperimentConfig.from_dict(desk_config_dict(tmp_path))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(cfg.path("trials.txt"), "w") as f:
+        f.write("e1 t1 target\ne2 t1 nontarget\n")
+    with open(cfg.path("scores_demo.txt"), "w") as f:
+        f.write("e1 t1 3.0\n")
+    with pytest.raises(ValueError, match="no score for trial e2 t1"):
+        pl.cmd_eval(cfg, "demo")
+    assert not os.path.exists(cfg.path("eval_demo.manifest.json"))
 
 
 # ---------------------------------------------------------------------------

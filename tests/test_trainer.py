@@ -309,6 +309,26 @@ def test_main_step_reduces_source_ce(rng):
     assert last < first
 
 
+def test_main_step_folds_batch_statistics_once(rng):
+    # as in `train`: the embeddings are evaluated before the step and
+    # the step evaluates its loss on top of them
+    params = net.init_network(tiny_config(), seed=13)
+    cfg = tiny_train_config(mode="adv+sup")
+    batch = make_batch(rng, params)
+    ext = params.extractor
+    w, b = ext.value("tdnn0.W").copy(), ext.value("tdnn0.b").copy()
+    hs_node, ht_node = tr._domain_embedding_nodes(params, batch, False, True)
+    ad.evaluate(ad.concat([hs_node, ht_node], axis=0))
+    tr.main_step(params, batch, cfg, 0.1, hs_node=hs_node, ht_node=ht_node)
+    spliced = np.concatenate([
+        net.splice_context(it.frames, params.config.tdnn_contexts[0])
+        for it in batch.source + batch.target])
+    mu = np.maximum(spliced @ w.T + b, 0.0).mean(axis=0)
+    m = params.config.bn_momentum
+    np.testing.assert_allclose(ext.value("tdnn0.rmean"), (1 - m) * mu,
+                               rtol=1e-12)
+
+
 def test_main_step_leaves_critic_alone(rng):
     params = net.init_network(tiny_config(), seed=9)
     cfg = tiny_train_config(mode="adv+sup")
@@ -566,15 +586,6 @@ def test_train_baseline_empty_source():
     params = net.init_network(tiny_config(), seed=17)
     with pytest.raises(ValueError, match="empty"):
         tr.train_baseline(params, tiny_train_config(), {}, {})
-
-
-def test_train_checkpointing(tmp_path, rng):
-    params, cfg, sf, sl, tf, tl = train_setup(rng, checkpoint_every=1)
-    tr.train(params, cfg, sf, sl, tf, tl, checkpoint_dir=str(tmp_path))
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["epoch0001.ckpt", "epoch0002.ckpt"]
-    loaded = net.load_checkpoint(tmp_path / "epoch0002.ckpt")
-    assert param_bytes(loaded.extractor) == param_bytes(params.extractor)
 
 
 def test_train_log_roundtrip(tmp_path):
