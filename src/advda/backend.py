@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from . import container
+from .schema import at_least, check
 
 BUNDLE_MAGIC = b"ADVB"
 BUNDLE_VERSION = 1
@@ -49,12 +50,12 @@ class PldaModel:
 
 @dataclass
 class AdaptParams:
-    xi: float = 0.25    # share of excess variance given to between-class
-    eta: float = 0.75   # share given to within-class
+    # shares of the excess variance given to between- and within-class
+    xi: float = at_least(0, default=0.25)
+    eta: float = at_least(0, default=0.75)
 
     def __post_init__(self):
-        if self.xi < 0 or self.eta < 0:
-            raise ValueError("adaptation shares must be non-negative")
+        check(self)
 
 
 def _sym(m):

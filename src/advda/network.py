@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Node, ParamSet
+from .schema import at_least, check, within
 
 CHECKPOINT_MAGIC = b"ADVD"
 CHECKPOINT_VERSION = 1
@@ -33,29 +34,23 @@ EXTRACT_CHUNK_BYTES = 1 << 20
 
 @dataclass
 class NetworkConfig:
-    frame_dim: int = 20
-    tdnn_widths: tuple = (64, 64, 64, 64, 128)
-    tdnn_contexts: tuple = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
-    embed_dim: int = 64
-    post_pool_widths: tuple = (64, 64)
-    n_source_classes: int = 10
-    n_target_classes: int = 10
+    frame_dim: int = at_least(1, default=20)
+    tdnn_widths: tuple[int, ...] = at_least(1, default=(64, 64, 64, 64, 128))
+    tdnn_contexts: tuple[tuple[int, ...], ...] = \
+        ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
+    embed_dim: int = at_least(1, default=64)
+    post_pool_widths: tuple[int, int] = at_least(1, default=(64, 64))
+    n_source_classes: int = at_least(1, default=10)
+    n_target_classes: int = at_least(1, default=10)
     use_domain_bit: bool = False
-    critic_widths: tuple = (64, 64)
+    # two hidden layers: `critic_input_gradient` is written for exactly two
+    critic_widths: tuple[int, int] = at_least(1, default=(64, 64))
     leaky_slope: float = 0.2
-    bn_momentum: float = 0.95
-    bn_eps: float = 1e-5
+    bn_momentum: float = within(0, 1, default=0.95)
+    bn_eps: float = at_least(0, default=1e-5)
 
     def __post_init__(self):
-        self.tdnn_widths = tuple(self.tdnn_widths)
-        self.tdnn_contexts = tuple(tuple(c) for c in self.tdnn_contexts)
-        self.post_pool_widths = tuple(self.post_pool_widths)
-        self.critic_widths = tuple(self.critic_widths)
-        if len(self.critic_widths) != 2:
-            # `critic_input_gradient`, behind the gradient penalty, is
-            # written for exactly two hidden critic layers
-            raise ValueError(f"critic_widths must have exactly 2 entries, "
-                             f"got {self.critic_widths}")
+        check(self)
         if len(self.tdnn_widths) != len(self.tdnn_contexts):
             raise ValueError("tdnn widths and contexts must align")
         if self.embed_dim != self.post_pool_widths[0]:

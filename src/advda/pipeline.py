@@ -23,6 +23,7 @@ from . import corpus as cp
 from . import metrics as mt
 from . import network as net
 from . import trainer as tr
+from .schema import at_least, check, hints, within
 
 TOOL_VERSION = "0.1.0"
 
@@ -31,102 +32,93 @@ class ConfigError(ValueError):
     pass
 
 
-def _strict(cls, data: dict, where: str):
+def _strict(cls, data: dict, where: str, stage_set=()):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    fixed = set(data) & set(stage_set)
+    if fixed:
+        raise ConfigError(f"{where}: keys {sorted(fixed)} are set by the "
+                          f"stages and cannot be configured")
     try:
         return cls(**data)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _at_least(section, kind, **lows):
-    """Reject a field that is not a `kind` number at least its bound."""
-    for name, low in lows.items():
-        value = getattr(section, name)
-        if isinstance(value, bool) or not isinstance(value, kind) or \
-                value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value!r}")
-
-
 @dataclass
 class CorpusSection:
-    frame_dim: int = 10
-    source_speakers: int = 200
-    source_utts_per_speaker: int = 20
-    target_speakers: int = 50
-    target_utts_per_speaker: int = 10
-    eval_speakers: int = 30
-    eval_utts_per_speaker: int = 6
-    frames_range: tuple = (30, 60)
-    speaker_scale: float = 1.0
-    channel_scale: float = 0.3
-    noise_scale: float = 0.5
+    frame_dim: int = at_least(1, default=10)
+    source_speakers: int = at_least(1, default=200)
+    source_utts_per_speaker: int = at_least(1, default=20)
+    target_speakers: int = at_least(1, default=50)
+    target_utts_per_speaker: int = at_least(1, default=10)
+    # trials need two eval speakers, and a target trial two utterances
+    eval_speakers: int = at_least(2, default=30)
+    eval_utts_per_speaker: int = at_least(2, default=6)
+    frames_range: tuple[int, int] = at_least(1, default=(30, 60))
+    speaker_scale: float = at_least(0, default=1.0)
+    channel_scale: float = at_least(0, default=0.3)
+    noise_scale: float = at_least(0, default=0.5)
     shift_rotation: float = 0.5
     shift_offset: float = 1.5
-    target_cov_scale: float = 1.0
+    target_cov_scale: float = at_least(0, default=1.0)
     second_language: bool = False
-    augment_copies: int = 0
-    augment_scale: float = 0.1
+    augment_copies: int = at_least(0, default=0)
+    augment_scale: float = at_least(0, default=0.1)
 
     def __post_init__(self):
-        fr = self.frames_range
-        if not isinstance(fr, (list, tuple)) or len(fr) != 2 or \
-                not 1 <= fr[0] <= fr[1]:
-            raise ValueError(f"frames_range must be two frame counts "
-                             f"1 <= lo <= hi, got {fr!r}")
+        check(self)
+        lo, hi = self.frames_range
+        if hi < lo:
+            raise ValueError(f"frames_range must have lo <= hi, got {lo, hi}")
 
-    def spec(self, seed: int, target_speakers=None,
-             target_utts=None) -> cp.CorpusSpec:
+    def spec(self, seed: int, **overrides) -> cp.CorpusSpec:
         a, b = cp.make_domain_shift(self.frame_dim, self.shift_rotation,
                                     self.shift_offset, seed=0)
-        return cp.CorpusSpec(
-            frame_dim=self.frame_dim,
-            source_speakers=self.source_speakers,
-            source_utts_per_speaker=self.source_utts_per_speaker,
-            target_speakers=target_speakers or self.target_speakers,
-            target_utts_per_speaker=target_utts or self.target_utts_per_speaker,
-            frames_range=tuple(self.frames_range),
-            speaker_scale=self.speaker_scale,
-            channel_scale=self.channel_scale,
-            noise_scale=self.noise_scale,
-            shift_a=a, shift_b=b,
-            target_cov_scale=self.target_cov_scale,
-            second_language=self.second_language,
-            augment_copies=self.augment_copies,
-            augment_scale=self.augment_scale,
-            seed=seed)
+        # every spec field but the shift and the seed has a namesake here
+        shared = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(cp.CorpusSpec)
+                  if hasattr(self, f.name)}
+        return cp.CorpusSpec(**{**shared, **overrides}, shift_a=a,
+                             shift_b=b, seed=seed)
 
 
 @dataclass
 class BackendSection:
-    lda_dim: int = 16
-    plda_iterations: int = 10
-    xi: float = 0.25
-    eta: float = 0.75
+    # lda_dim's upper bounds are in the cross-section checks
+    lda_dim: int = at_least(1, default=16)
+    plda_iterations: int = at_least(1, default=10)
+    xi: float = at_least(0, default=0.25)
+    eta: float = at_least(0, default=0.75)
     length_norm: bool = True
-    pseudo_threshold: float | None = None  # cluster target labels if set
+    # cluster target labels at this cosine similarity if set
+    pseudo_threshold: float | None = within(-1, 1, default=None)
 
     def __post_init__(self):
-        # lda_dim's upper bounds are in ExperimentConfig's cross checks
-        _at_least(self, int, lda_dim=1, plda_iterations=1)
-        _at_least(self, (int, float), xi=0, eta=0)
-        t = self.pseudo_threshold
-        if t is not None and not -1 <= t <= 1:  # a cosine similarity
-            raise ValueError(f"pseudo_threshold must lie in [-1, 1], "
-                             f"got {t!r}")
+        check(self)
 
 
 @dataclass
 class TrialsSection:
-    nontarget_per_target: int = 4
+    nontarget_per_target: int = at_least(1, default=4)
 
     def __post_init__(self):
-        _at_least(self, int, nontarget_per_target=1)
+        check(self)
+
+
+# Every section's class, and the keys in it that the stages always set.
+_SECTIONS = {
+    "corpus": (CorpusSection, ()),
+    "backend": (BackendSection, ()),
+    "trials": (TrialsSection, ()),
+    "network": (net.NetworkConfig, ("frame_dim", "n_source_classes",
+                                    "n_target_classes", "use_domain_bit")),
+    "train_base": (tr.TrainConfig, ("mode", "scope", "seed")),
+    "train_adapt": (tr.TrainConfig, ("mode", "scope", "seed")),
+}
 
 
 @dataclass
@@ -139,46 +131,27 @@ class ExperimentConfig:
     train_adapt: dict = field(default_factory=dict)
     backend: BackendSection = field(default_factory=BackendSection)
     trials: TrialsSection = field(default_factory=TrialsSection)
-    priors: tuple = (0.01, 0.005)
+    # the report gives one minDCF for each of the two priors
+    priors: tuple[float, float] = within(0, 1, default=(0.01, 0.005),
+                                         open=True)
+
+    def __post_init__(self):
+        check(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        out = cls()
-        if "seed" in data:
-            seed = data["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError(f"seed: expected an integer, got {seed!r}")
-            out.seed = seed
-        if "out_dir" in data:
-            out.out_dir = str(data["out_dir"])
-        if "corpus" in data:
-            out.corpus = _strict(CorpusSection, data["corpus"], "corpus")
-        if "backend" in data:
-            out.backend = _strict(BackendSection, data["backend"], "backend")
-        if "trials" in data:
-            out.trials = _strict(TrialsSection, data["trials"], "trials")
-        if "priors" in data:
-            # the report gives one minDCF for each of the two priors
-            if not isinstance(data["priors"], (list, tuple)) or \
-                    len(data["priors"]) != 2:
-                raise ConfigError("priors: expected a list of two values")
-            out.priors = tuple(data["priors"])
-        # stored as override dicts; building the config once here
-        # rejects bad keys and values at load
-        built = {}
-        for section, section_cls in (("network", net.NetworkConfig),
-                                     ("train_base", tr.TrainConfig),
-                                     ("train_adapt", tr.TrainConfig)):
-            if section in data:
-                built[section] = _strict(section_cls, data[section], section)
-                setattr(out, section, dict(data[section]))
-            else:
-                built[section] = section_cls()
-        out._check_across_sections(**built)
+        if not isinstance(data, dict):
+            raise ConfigError("config: expected an object")
+        built = {name: _strict(kind, data.get(name, {}), name, stage_set)
+                 for name, (kind, stage_set) in _SECTIONS.items()}
+        # the network and training sections stay the override dicts that
+        # the stages build their configs from
+        out = _strict(cls, {**data, **{
+            name: dict(data.get(name, {}))
+            if hints(cls)[name] is dict else section
+            for name, section in built.items()}}, "config")
+        out._check_across_sections(built["network"], built["train_base"],
+                                   built["train_adapt"])
         return out
 
     def _check_across_sections(self, network, train_base, train_adapt):
@@ -190,11 +163,6 @@ class ExperimentConfig:
             if self.backend.lda_dim > bound:
                 raise ConfigError(f"backend.lda_dim={self.backend.lda_dim} "
                                   f"exceeds {key}={bound}")
-        for i, prior in enumerate(self.priors):
-            if isinstance(prior, bool) or \
-                    not isinstance(prior, (int, float)) or \
-                    not 0.0 < prior < 1.0:
-                raise ConfigError(f"priors[{i}]={prior!r} must lie in (0, 1)")
         # splicing needs every segment longer than its widest context
         span = max(abs(o) for ctx in network.tdnn_contexts for o in ctx)
         lengths = {"corpus.frames_range[0]": self.corpus.frames_range[0],
@@ -279,7 +247,7 @@ def cmd_synth(cfg: ExperimentConfig) -> dict:
         # evaluation set: fresh target-domain speakers under the same shift
         eval_spec = cfg.corpus.spec(
             cfg.seed + 1000, target_speakers=cfg.corpus.eval_speakers,
-            target_utts=cfg.corpus.eval_utts_per_speaker)
+            target_utts_per_speaker=cfg.corpus.eval_utts_per_speaker)
         archive, records = cp.generate_domain(eval_spec, "target")
         data["eval"] = (
             {u.replace("tgt-", "ev-", 1): fr for u, fr in archive.items()},
@@ -352,7 +320,7 @@ def cmd_train_base(cfg: ExperimentConfig) -> str:
         # the baseline allocates a domain-bit network so every adaptation
         # mode can start from the same checkpoint
         ncfg = net.NetworkConfig(**{
-            "frame_dim": cfg.corpus.frame_dim, **cfg.network,
+            **cfg.network, "frame_dim": cfg.corpus.frame_dim,
             "n_source_classes": n_source, "n_target_classes": n_target,
             "use_domain_bit": True})
         params = net.init_network(ncfg, seed=cfg.seed)

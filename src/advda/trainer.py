@@ -12,56 +12,50 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
 from . import autodiff as ad
 from . import network as net
 from .network import NetworkParams
+from .schema import at_least, check
 
-MODES = ("sup", "adv", "adv+sup", "adv+lan+sup")
-SCOPES = ("all", "post-pool")
+Mode = Literal["sup", "adv", "adv+sup", "adv+lan+sup"]
+Scope = Literal["all", "post-pool"]
+MODES, SCOPES = get_args(Mode), get_args(Scope)
 
 
 @dataclass
 class TrainConfig:
-    gamma: float = 10.0           # gradient-penalty weight
-    delta: float = 0.1            # adversarial weight in the extractor loss
-    rate_critic: float = 0.001    # critic ascent rate
-    rate_main: float = 1.0        # classifier/extractor descent rate
-    critic_steps: int = 10        # inner critic iterations per outer step
-    mode: str = "adv+sup"
-    scope: str = "all"
-    source_batch: int = 150
-    target_batch: int = 150
-    segment_frames: tuple = (200, 400)
-    epochs: int = 85
-    minibatches_per_epoch: int = 400
-    warmup_epochs: int = 3
-    halve_every: int = 5
-    source_loss_weight: float = 0.8
-    target_loss_weight: float = 0.2
-    seed: int = 0
+    gamma: float = at_least(0, default=10.0)  # gradient-penalty weight
+    # adversarial weight in the extractor loss
+    delta: float = at_least(0, default=0.1)
+    rate_critic: float = at_least(0, default=0.001)  # critic ascent rate
+    # classifier/extractor descent rate
+    rate_main: float = at_least(0, default=1.0)
+    # inner critic iterations per outer step
+    critic_steps: int = at_least(1, default=10)
+    mode: Mode = "adv+sup"
+    scope: Scope = "all"
+    source_batch: int = at_least(1, default=150)
+    target_batch: int = at_least(1, default=150)
+    segment_frames: tuple[int, int] = at_least(1, default=(200, 400))
+    epochs: int = at_least(0, default=85)
+    minibatches_per_epoch: int = at_least(1, default=400)
+    warmup_epochs: int = at_least(0, default=3)
+    halve_every: int = at_least(1, default=5)
+    source_loss_weight: float = at_least(0, default=0.8)
+    target_loss_weight: float = at_least(0, default=0.2)
+    seed: int = at_least(0, default=0)
 
     def __post_init__(self):
-        self.segment_frames = tuple(self.segment_frames)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown scope {self.scope!r}")
-        for name in ("gamma", "delta", "rate_critic", "rate_main",
-                     "source_loss_weight", "target_loss_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.source_batch < 1 or self.target_batch < 1:
-            raise ValueError("batch sizes must be positive")
-        if self.segment_frames[0] < 1 or \
-                self.segment_frames[1] < self.segment_frames[0]:
-            raise ValueError("bad segment length range")
+        check(self)
+        lo, hi = self.segment_frames
+        if hi < lo:
+            raise ValueError(f"segment_frames must have lo <= hi, got {lo, hi}")
         if self.epochs > 0 and self.warmup_epochs >= self.epochs:
-            raise ValueError("warmup must end before training does")
-        if self.halve_every < 1 or self.minibatches_per_epoch < 1:
-            raise ValueError("schedule parameters must be positive")
+            raise ValueError("warmup_epochs must be less than epochs")
 
     @property
     def adversarial(self) -> bool:

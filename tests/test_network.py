@@ -418,6 +418,9 @@ def test_checkpoint_wrong_array_shape_rejected(tmp_path):
 @pytest.mark.parametrize("key, value, match", [
     ("dropout", 0.5, "unexpected keyword argument 'dropout'"),
     ("critic_widths", [8], "critic_widths"),
+    ("use_domain_bit", "yes", "use_domain_bit: expected a boolean, got 'yes'"),
+    ("tdnn_widths", "abcde",
+     "tdnn_widths: expected a non-empty list of integers, got 'abcde'"),
 ])
 def test_checkpoint_bad_config_block_rejected(tmp_path, key, value, match):
     config, arrays = checkpoint_parts(net.init_network(small_config(), 0))

@@ -7,7 +7,9 @@ from click.testing import CliRunner
 
 from advda import cli
 from advda import corpus as cp
+from advda import network as net
 from advda import pipeline as pl
+from advda import trainer as tr
 from advda.pipeline import ConfigError, ExperimentConfig
 
 
@@ -144,10 +146,43 @@ def test_config_rejects_bad_section_values():
      "trials: nontarget_per_target must be at least 1, got True"),
     ({"seed": 1.7}, "seed: expected an integer, got 1.7"),
     ({"seed": "abc"}, "seed: expected an integer, got 'abc'"),
+    ({"out_dir": None}, "config: out_dir: expected a string, got None"),
+    ({"out_dir": 5}, "config: out_dir: expected a string, got 5"),
+    ({"train_base": {"epochs": "3"}},
+     "train_base: epochs must be at least 0, got '3'"),
+    ({"corpus": {"eval_speakers": 0}},
+     "corpus: eval_speakers must be at least 2, got 0"),
+    ({"corpus": {"eval_utts_per_speaker": 0}},
+     "corpus: eval_utts_per_speaker must be at least 2, got 0"),
+    ({"corpus": {"second_language": "no"}},
+     "corpus: second_language: expected a boolean, got 'no'"),
+    ({"backend": {"length_norm": "no"}},
+     "backend: length_norm: expected a boolean, got 'no'"),
+    ({"network": {"frame_dim": 7}},
+     r"network: keys \['frame_dim'\] are set by the stages"),
+    ({"train_adapt": {"critic_steps": 0}},
+     "train_adapt: critic_steps must be at least 1, got 0"),
+    ({"corpus": {"target_speakers": 0}},
+     "corpus: target_speakers must be at least 1, got 0"),
 ])
 def test_config_rejects_inconsistent_sections(data, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("network", "frame_dim"), ("network", "n_source_classes"),
+    ("network", "n_target_classes"), ("network", "use_domain_bit"),
+    *[(section, key) for section in ("train_base", "train_adapt")
+      for key in ("mode", "scope", "seed")],
+])
+def test_config_rejects_keys_the_stages_set(section, key):
+    # even a valid value, which the stage would overwrite
+    kind = net.NetworkConfig if section == "network" else tr.TrainConfig
+    value = getattr(kind(), key)
+    with pytest.raises(ConfigError, match=rf"{section}: keys \['{key}'\] "
+                                          r"are set by the stages"):
+        ExperimentConfig.from_dict({section: {key: value}})
 
 
 def test_config_accepts_segments_just_longer_than_context():
@@ -155,7 +190,7 @@ def test_config_accepts_segments_just_longer_than_context():
         {"corpus": {"frames_range": [4, 9]},
          "train_base": {"segment_frames": [4, 9]},
          "backend": {"lda_dim": 64}, "priors": [0.5, 0.25]})
-    assert cfg.corpus.frames_range == [4, 9]
+    assert cfg.corpus.frames_range == (4, 9)
 
 
 def test_config_accepts_boundary_values():
@@ -187,14 +222,28 @@ def test_config_defaults_and_overrides(tmp_path):
 
 def test_config_file_roundtrip(tmp_path):
     data = desk_config_dict(tmp_path / "run")
+    data.update(trials={"nontarget_per_target": 3}, priors=[0.05, 0.5])
+    data["backend"]["xi"] = 0              # an int in a float field
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     cfg = ExperimentConfig.load(path)
-    again = ExperimentConfig.from_dict(
-        {k: v for k, v in cfg.to_dict().items()
-         if k in ("seed", "out_dir", "corpus", "backend", "trials")})
-    assert again.corpus == cfg.corpus
-    assert again.backend == cfg.backend
+    echo = json.loads(json.dumps(cfg.to_dict()))
+    assert set(echo) == set(data)
+    again = ExperimentConfig.from_dict(echo)
+    assert again == cfg
+    # no value is converted: the echo reads back to the same bytes
+    assert again.backend.xi == 0 and type(again.backend.xi) is int
+    assert json.dumps(again.to_dict()) == json.dumps(echo)
+
+
+def test_manifest_config_echo_loads_back(desk_run):
+    cfg = desk_run[0]
+    for name in ("synth", "train_base", "adapt_adv_sup"):
+        echo = read_json(cfg.path(f"{name}.manifest.json"))["config"]
+        again = ExperimentConfig.from_dict(echo)
+        assert again == cfg
+        assert json.dumps(again.to_dict(), sort_keys=True) == \
+            json.dumps(echo, sort_keys=True)
 
 
 def test_tag_for():

@@ -75,7 +75,7 @@ def test_train_config_validation():
         tiny_train_config(mode="gan")
     with pytest.raises(ValueError, match="scope"):
         tiny_train_config(scope="frozen")
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="gamma must be at least 0"):
         tiny_train_config(gamma=-1.0)
     with pytest.raises(ValueError, match="segment"):
         tiny_train_config(segment_frames=(10, 5))
