@@ -285,7 +285,7 @@ def load_bundle(path):
         r.header(BUNDLE_MAGIC, BUNDLE_VERSION)
         meta = r.json("meta")
         if not isinstance(meta, dict) or \
-                meta.get("length_norm") not in (True, False):
+                type(meta.get("length_norm")) is not bool:
             raise ValueError(f"bundle {path}: meta block must be an object "
                              f"with a boolean 'length_norm', got {meta!r}")
         arrs = r.arrays(len(BUNDLE_ARRAYS), BUNDLE_ARRAYS)
@@ -299,7 +299,7 @@ def load_bundle(path):
                              f"{shape}, expected ({', '.join(axes)}) for "
                              f"lda (r, d) = {arrs['lda'].shape}")
     transform = BackendTransform(mean=arrs["mean"], lda=arrs["lda"],
-                                 length_norm=bool(meta["length_norm"]))
+                                 length_norm=meta["length_norm"])
     model = PldaModel(mu=arrs["mu"], between=arrs["between"],
                       within=arrs["within"])
     return transform, model

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import click
@@ -22,11 +23,11 @@ def with_config(command):
                   help="override global seed")
     @functools.wraps(command)
     def load_and_run(config_path, out, seed, **kwargs):
-        cfg = ExperimentConfig.load(config_path)
-        if out is not None:
-            cfg.out_dir = out
-        if seed is not None:
-            cfg.seed = int(seed)
+        # replace() checks the overrides as the config file's values are
+        overrides = {name: value for name, value in
+                     (("out_dir", out), ("seed", seed)) if value is not None}
+        cfg = dataclasses.replace(ExperimentConfig.load(config_path),
+                                  **overrides)
         return command(cfg, **kwargs)
     return load_and_run
 

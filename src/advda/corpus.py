@@ -5,8 +5,9 @@ mean vector, each utterance adds a channel offset and per-frame noise.
 Target-domain frames are additionally passed through a global affine map
 (with an optional second map for a second target language), which gives
 the two domains different marginal distributions that adaptation has to
-close.  Archives are little-endian binary ("XVF1", framed as in
-`container`, with float32 frame records), manifests TSV.
+close.  `CorpusConfig` describes the corpus, apart from its seed.
+Archives are little-endian binary ("XVF1", framed as in `container`, with
+float32 frame records), manifests TSV.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
+from .schema import at_least, check
 
 ARCHIVE_MAGIC = b"XVF1"
 ARCHIVE_VERSION = 1
@@ -34,42 +36,34 @@ class ManifestRecord:
 
 
 @dataclass
-class CorpusSpec:
-    frame_dim: int = 10
-    source_speakers: int = 200
-    source_utts_per_speaker: int = 20
-    target_speakers: int = 50
-    target_utts_per_speaker: int = 10
-    frames_range: tuple = (30, 60)
-    speaker_scale: float = 1.0
-    channel_scale: float = 0.3
-    noise_scale: float = 0.5
-    shift_a: np.ndarray | None = None   # (m, m) target-domain map
-    shift_b: np.ndarray | None = None   # (m,) target-domain offset
-    target_cov_scale: float = 1.0       # extra noise scale in target domain
-    second_language: bool = False       # half the target speakers get a
-                                        # second language tag and map
-    augment_copies: int = 0
-    augment_scale: float = 0.1
-    seed: int = 0
+class CorpusConfig:
+    """The `corpus` section of an experiment config."""
+    frame_dim: int = at_least(1, default=10)
+    source_speakers: int = at_least(1, default=200)
+    source_utts_per_speaker: int = at_least(1, default=20)
+    target_speakers: int = at_least(1, default=50)
+    target_utts_per_speaker: int = at_least(1, default=10)
+    # trials need two eval speakers, and a target trial two utterances
+    eval_speakers: int = at_least(2, default=30)
+    eval_utts_per_speaker: int = at_least(2, default=6)
+    frames_range: tuple[int, int] = at_least(1, default=(30, 60))
+    speaker_scale: float = at_least(0, default=1.0)
+    channel_scale: float = at_least(0, default=0.3)
+    noise_scale: float = at_least(0, default=0.5)
+    # the target map, the same for every corpus seed (shift seed 0)
+    shift_rotation: float = 0.5
+    shift_offset: float = 1.5
+    target_cov_scale: float = at_least(0, default=1.0)  # target noise factor
+    # half the target speakers get a second language tag and map
+    second_language: bool = False
+    augment_copies: int = at_least(0, default=0)
+    augment_scale: float = at_least(0, default=0.1)
 
     def __post_init__(self):
-        if self.source_speakers < 1 or self.target_speakers < 1:
-            raise ValueError("speaker counts must be positive")
-        if self.source_utts_per_speaker < 1 or self.target_utts_per_speaker < 1:
-            raise ValueError("utterance counts must be positive")
-        if self.shift_a is not None:
-            a = np.asarray(self.shift_a, dtype=np.float64)
-            if a.shape != (self.frame_dim, self.frame_dim):
-                raise ValueError("shift map has wrong shape")
-            if np.linalg.cond(a) > 100:
-                raise ValueError("shift map too ill-conditioned")
-            self.shift_a = a
-        if self.shift_b is not None:
-            b = np.asarray(self.shift_b, dtype=np.float64)
-            if b.shape != (self.frame_dim,):
-                raise ValueError("shift offset has wrong shape")
-            self.shift_b = b
+        check(self)
+        lo, hi = self.frames_range
+        if hi < lo:
+            raise ValueError(f"frames_range must have lo <= hi, got {lo, hi}")
 
 
 def make_domain_shift(frame_dim: int, rotation: float = 0.5,
@@ -91,40 +85,42 @@ def _utt_rng(seed, domain, index):
     return np.random.default_rng([seed, code, index])
 
 
-def generate_domain(spec: CorpusSpec, domain: str):
+def generate_domain(cfg: CorpusConfig, domain: str, seed: int):
     """Archive dict (utt_id -> float32 frames) and manifest records."""
     if domain == "source":
-        n_spk = spec.source_speakers
-        n_utt = spec.source_utts_per_speaker
+        n_spk = cfg.source_speakers
+        n_utt = cfg.source_utts_per_speaker
         prefix = "src"
     elif domain == "target":
-        n_spk = spec.target_speakers
-        n_utt = spec.target_utts_per_speaker
+        n_spk = cfg.target_speakers
+        n_utt = cfg.target_utts_per_speaker
         prefix = "tgt"
     else:
         raise ValueError(f"unknown domain {domain!r}")
-    m = spec.frame_dim
-    spk_rng = np.random.default_rng([spec.seed, {"source": 0, "target": 1}[domain], 10**6])
-    means = spec.speaker_scale * spk_rng.standard_normal((n_spk, m))
-    shift_a = spec.shift_a if spec.shift_a is not None else np.eye(m)
-    shift_b = spec.shift_b if spec.shift_b is not None else np.zeros(m)
+    m = cfg.frame_dim
+    spk_rng = np.random.default_rng(
+        [seed, {"source": 0, "target": 1}[domain], 10**6])
+    means = cfg.speaker_scale * spk_rng.standard_normal((n_spk, m))
+    if domain == "target":
+        shift_a, shift_b = make_domain_shift(m, cfg.shift_rotation,
+                                             cfg.shift_offset, seed=0)
     a2 = b2 = None
-    if spec.second_language and domain == "target":
+    if cfg.second_language and domain == "target":
         a2, b2 = make_domain_shift(m, rotation=0.7, offset=1.5,
-                                   seed=spec.seed + 1)
+                                   seed=seed + 1)
     archive = {}
     records = []
-    lo, hi = spec.frames_range
+    lo, hi = cfg.frames_range
     index = 0
     for s in range(n_spk):
-        lang2 = spec.second_language and domain == "target" and s >= n_spk // 2
+        lang2 = cfg.second_language and domain == "target" and s >= n_spk // 2
         for u in range(n_utt):
-            rng = _utt_rng(spec.seed, domain, index)
+            rng = _utt_rng(seed, domain, index)
             t = int(rng.integers(lo, hi + 1))
-            noise = spec.noise_scale
+            noise = cfg.noise_scale
             if domain == "target":
-                noise *= spec.target_cov_scale
-            channel = spec.channel_scale * rng.standard_normal(m)
+                noise *= cfg.target_cov_scale
+            channel = cfg.channel_scale * rng.standard_normal(m)
             frames = means[s] + channel + noise * rng.standard_normal((t, m))
             if domain == "target":
                 if lang2:
@@ -133,8 +129,8 @@ def generate_domain(spec: CorpusSpec, domain: str):
                     frames = frames @ shift_a.T + shift_b
             base_id = f"{prefix}-{s:04d}-{u:03d}"
             versions = [(base_id, frames)]
-            for k in range(spec.augment_copies):
-                aug = frames + spec.augment_scale * rng.standard_normal((t, m))
+            for k in range(cfg.augment_copies):
+                aug = frames + cfg.augment_scale * rng.standard_normal((t, m))
                 versions.append((f"{base_id}-aug{k}", aug))
             lang = "lang2" if lang2 else ("lang1" if domain == "target"
                                           else "lang0")
@@ -146,9 +142,9 @@ def generate_domain(spec: CorpusSpec, domain: str):
     return archive, records
 
 
-def generate_corpus(spec: CorpusSpec):
+def generate_corpus(cfg: CorpusConfig, seed: int):
     """Per-domain (archive, manifest) pair, deterministic given the seed."""
-    return {domain: generate_domain(spec, domain)
+    return {domain: generate_domain(cfg, domain, seed)
             for domain in ("source", "target")}
 
 

@@ -170,11 +170,6 @@ def min_dcf_from_scores(tgt: np.ndarray, non: np.ndarray,
     return float(dcf.min() / p_target)
 
 
-def compute_eer(scores: ScoreSet, trials: TrialList) -> float:
-    tgt, non = _split_scores(scores, trials)
-    return eer_from_scores(tgt, non)
-
-
 def evaluation_report(scores: ScoreSet, trials: TrialList,
                       priors=(0.01, 0.005)) -> dict:
     """EER plus minDCF at both operating points and their average."""

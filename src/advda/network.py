@@ -133,21 +133,6 @@ def resize_target_head(params: NetworkParams, n_classes: int,
     params.config.n_target_classes = n_classes
 
 
-def splice_context(frames: np.ndarray, offsets) -> np.ndarray:
-    """Concatenate frames at t+offset per row, clamped at the edges."""
-    frames = np.asarray(frames, dtype=np.float64)
-    node = ad.splice(ad.const(frames), offsets)
-    return ad.evaluate(node)
-
-
-def stats_pool(frames: np.ndarray) -> np.ndarray:
-    """Per-feature mean and floored standard deviation over time."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[0] < 1:
-        raise ValueError("stats_pool needs at least one frame")
-    return ad.evaluate(ad.stats_pool(ad.const(frames)))[0]
-
-
 def build_embedding(params: NetworkParams, frames: Node, bit: int,
                     training: bool, use_bit: bool | None = None, *,
                     n_frames: int) -> Node:
@@ -327,31 +312,6 @@ def extract_embedding(params: NetworkParams, frames: np.ndarray,
                       bit: int = 0) -> np.ndarray:
     """Embedding vector for one utterance (inference-mode batch norm)."""
     return extract_embeddings(params, [frames], [bit])[0]
-
-
-def classify(params: NetworkParams, h: np.ndarray, head: str) -> np.ndarray:
-    """Log-posteriors over the head's speakers for one embedding."""
-    h = np.asarray(h, dtype=np.float64)
-    node = build_classifier(params, ad.const(h[None, :]), head,
-                            training=False)
-    return ad.evaluate(node)[0]
-
-
-def critic_forward(params: NetworkParams, h: np.ndarray) -> float:
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (params.config.embed_dim,):
-        raise ValueError(f"critic input must have size {params.config.embed_dim}")
-    node = build_critic(params, ad.const(h[None, :]))
-    return float(ad.evaluate(node)[0, 0])
-
-
-def cross_entropy_loss(logp: np.ndarray, label: int,
-                       normalizer: float) -> float:
-    """Normalized cross-entropy -logp[label] / normalizer."""
-    logp = np.asarray(logp, dtype=np.float64)
-    if not 0 <= label < logp.shape[0]:
-        raise ValueError("label out of range")
-    return float(-logp[label] / normalizer)
 
 
 # ---------------------------------------------------------------------------

@@ -49,44 +49,6 @@ def _strict(cls, data: dict, where: str, stage_set=()):
 
 
 @dataclass
-class CorpusSection:
-    frame_dim: int = at_least(1, default=10)
-    source_speakers: int = at_least(1, default=200)
-    source_utts_per_speaker: int = at_least(1, default=20)
-    target_speakers: int = at_least(1, default=50)
-    target_utts_per_speaker: int = at_least(1, default=10)
-    # trials need two eval speakers, and a target trial two utterances
-    eval_speakers: int = at_least(2, default=30)
-    eval_utts_per_speaker: int = at_least(2, default=6)
-    frames_range: tuple[int, int] = at_least(1, default=(30, 60))
-    speaker_scale: float = at_least(0, default=1.0)
-    channel_scale: float = at_least(0, default=0.3)
-    noise_scale: float = at_least(0, default=0.5)
-    shift_rotation: float = 0.5
-    shift_offset: float = 1.5
-    target_cov_scale: float = at_least(0, default=1.0)
-    second_language: bool = False
-    augment_copies: int = at_least(0, default=0)
-    augment_scale: float = at_least(0, default=0.1)
-
-    def __post_init__(self):
-        check(self)
-        lo, hi = self.frames_range
-        if hi < lo:
-            raise ValueError(f"frames_range must have lo <= hi, got {lo, hi}")
-
-    def spec(self, seed: int, **overrides) -> cp.CorpusSpec:
-        a, b = cp.make_domain_shift(self.frame_dim, self.shift_rotation,
-                                    self.shift_offset, seed=0)
-        # every spec field but the shift and the seed has a namesake here
-        shared = {f.name: getattr(self, f.name)
-                  for f in dataclasses.fields(cp.CorpusSpec)
-                  if hasattr(self, f.name)}
-        return cp.CorpusSpec(**{**shared, **overrides}, shift_a=a,
-                             shift_b=b, seed=seed)
-
-
-@dataclass
 class BackendSection:
     # lda_dim's upper bounds are in the cross-section checks
     lda_dim: int = at_least(1, default=16)
@@ -111,7 +73,7 @@ class TrialsSection:
 
 # Every section's class, and the keys in it that the stages always set.
 _SECTIONS = {
-    "corpus": (CorpusSection, ()),
+    "corpus": (cp.CorpusConfig, ()),
     "backend": (BackendSection, ()),
     "trials": (TrialsSection, ()),
     "network": (net.NetworkConfig, ("frame_dim", "n_source_classes",
@@ -123,9 +85,9 @@ _SECTIONS = {
 
 @dataclass
 class ExperimentConfig:
-    seed: int = 1
+    seed: int = at_least(0, default=1)
     out_dir: str = "run"
-    corpus: CorpusSection = field(default_factory=CorpusSection)
+    corpus: cp.CorpusConfig = field(default_factory=cp.CorpusConfig)
     network: dict = field(default_factory=dict)
     train_base: dict = field(default_factory=dict)
     train_adapt: dict = field(default_factory=dict)
@@ -243,12 +205,13 @@ def cmd_synth(cfg: ExperimentConfig) -> dict:
     trials_path = cfg.path("trials.txt")
     outputs = [*sum(sets.values(), ()), trials_path]
     with _stage(cfg, "synth", [], outputs):
-        data = cp.generate_corpus(cfg.corpus.spec(cfg.seed))
+        data = cp.generate_corpus(cfg.corpus, cfg.seed)
         # evaluation set: fresh target-domain speakers under the same shift
-        eval_spec = cfg.corpus.spec(
-            cfg.seed + 1000, target_speakers=cfg.corpus.eval_speakers,
+        eval_corpus = dataclasses.replace(
+            cfg.corpus, target_speakers=cfg.corpus.eval_speakers,
             target_utts_per_speaker=cfg.corpus.eval_utts_per_speaker)
-        archive, records = cp.generate_domain(eval_spec, "target")
+        archive, records = cp.generate_domain(eval_corpus, "target",
+                                              cfg.seed + 1000)
         data["eval"] = (
             {u.replace("tgt-", "ev-", 1): fr for u, fr in archive.items()},
             [cp.ManifestRecord(r.utt_id.replace("tgt-", "ev-", 1),

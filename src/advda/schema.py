@@ -3,13 +3,15 @@
 A config dataclass gives each field an annotation that `describe` knows,
 puts any bounds on its numbers in the field's metadata (`at_least`,
 `within`), and calls `check` from its `__post_init__`.  JSON lists become
-tuples; no other value is converted, so `0` stays `0`.
+tuples; no other value is converted, so `0` stays `0`.  Non-finite numbers,
+which `json.load` reads from `NaN` and `Infinity`, are rejected.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -76,10 +78,14 @@ def _fit(tp, v):
 
 def check(obj) -> None:
     """Fit every field of config dataclass `obj` to its annotation and
-    bound, or raise a `ValueError` that names the field.  A bounded
-    number of the wrong type is reported against the bound."""
+    bound, or raise a `ValueError` that names the field.  A non-finite
+    number is reported as such, and a bounded number of the wrong type
+    against the bound."""
     for f in dataclasses.fields(obj):
         value, tp = getattr(obj, f.name), hints(type(obj))[f.name]
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
         if "bound" in f.metadata and value is not None:
             rule, test = f.metadata["bound"]
             listed = typing.get_origin(tp) is tuple

@@ -103,16 +103,20 @@ def crop_segment(frames: np.ndarray, length_range, rng) -> np.ndarray:
 
 
 class MinibatchSampler:
-    """Draws minibatches from per-domain feature dicts with label maps."""
+    """Draws minibatches from per-domain feature dicts with label maps;
+    with no target domain (`target_feats` None), source-only ones that
+    draw nothing from the RNG for the target."""
 
     def __init__(self, source_feats: dict, source_labels: dict,
-                 target_feats: dict, target_labels: dict | None,
+                 target_feats: dict | None, target_labels: dict | None,
                  cfg: TrainConfig):
-        if not source_feats or not target_feats:
-            raise ValueError("both domains need at least one utterance")
+        for name, feats in (("source", source_feats),
+                            ("target", target_feats)):
+            if feats is not None and not feats:
+                raise ValueError(f"the {name} domain is empty")
         self.cfg = cfg
         self.src_ids = sorted(source_feats)
-        self.tgt_ids = sorted(target_feats)
+        self.tgt_ids = None if target_feats is None else sorted(target_feats)
         self.source_feats = source_feats
         self.target_feats = target_feats
         self.source_labels = source_labels
@@ -122,7 +126,7 @@ class MinibatchSampler:
         cfg = self.cfg
         src = [self.src_ids[i] for i in
                rng.integers(0, len(self.src_ids), size=cfg.source_batch)]
-        tgt = [self.tgt_ids[i] for i in
+        tgt = [] if self.tgt_ids is None else [self.tgt_ids[i] for i in
                rng.integers(0, len(self.tgt_ids), size=cfg.target_batch)]
         source = [BatchItem(u, crop_segment(
             np.asarray(self.source_feats[u], dtype=np.float64),
@@ -228,6 +232,16 @@ def _domain_embedding_nodes(params: NetworkParams, batch: Minibatch,
     return hs_node, ht_node
 
 
+def _descend(params: NetworkParams, loss: ad.Node, rate: float) -> None:
+    """Evaluate what `loss` still lacks, fold its batch statistics, and
+    take one descent step on the heads and the extractor."""
+    ad.evaluate(loss, reset=False)
+    ad.update_running_stats(loss)
+    g_heads, g_ext = ad.backward(loss, [params.heads, params.extractor])
+    ad.sgd_step(params.heads, g_heads, rate, "descend")
+    ad.sgd_step(params.extractor, g_ext, rate, "descend")
+
+
 def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
               rate: float, warmup: bool = False, hs_node=None, ht_node=None):
     """One descent step on heads and extractor; returns loss components.
@@ -274,11 +288,7 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)
-    ad.evaluate(loss, reset=False)
-    ad.update_running_stats(loss)
-    g_heads, g_ext = ad.backward(loss, [params.heads, params.extractor])
-    ad.sgd_step(params.heads, g_heads, rate, "descend")
-    ad.sgd_step(params.extractor, g_ext, rate, "descend")
+    _descend(params, loss, rate)
     return {
         "source_ce": float(ce_s.value),
         "target_ce": float(ce_t_node.value) if ce_t_node is not None else None,
@@ -417,32 +427,20 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
     heads and extractor.  Adaptation is applied to this model afterwards
     rather than training with the adversarial loss from scratch.
     """
-    if not source_feats:
-        raise ValueError("source archive is empty")
+    sampler = MinibatchSampler(source_feats, source_labels, None, None, cfg)
     rng = np.random.default_rng(cfg.seed)
-    ids = sorted(source_feats)
     ls_norm = np.log(params.config.n_source_classes)
     log = []
     for epoch in range(cfg.epochs):
         _, rate = lr_schedule(epoch, cfg)
         ce_vals = []
         for _ in range(cfg.minibatches_per_epoch):
-            chosen = [ids[i] for i in
-                      rng.integers(0, len(ids), size=cfg.source_batch)]
-            items = [BatchItem(u, crop_segment(
-                np.asarray(source_feats[u], dtype=np.float64),
-                cfg.segment_frames, rng), source_labels[u], 0)
-                for u in chosen]
+            items = sampler.sample(rng).source
             hs_node = _batch_embedding_nodes(params, items, False, True)
             logp = net.build_classifier(params, hs_node, "source",
                                         training=True)
             loss = ad.cross_entropy(logp, [it.label for it in items], ls_norm)
-            ad.evaluate(loss)
-            ad.update_running_stats(loss)
-            g_heads, g_ext = ad.backward(loss,
-                                         [params.heads, params.extractor])
-            ad.sgd_step(params.heads, g_heads, rate, "descend")
-            ad.sgd_step(params.extractor, g_ext, rate, "descend")
+            _descend(params, loss, rate)
             ce_vals.append(float(loss.value))
         log.append({"epoch": epoch, "l_wd": None, "l_grad": None,
                     "source_ce": float(np.mean(ce_vals)), "target_ce": None,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advda import autodiff as ad
+from advda import network as net
 
 
 def fd_param_gradient(root, params, name, step=1e-5):
@@ -31,6 +32,12 @@ def rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=float)
     denom = np.maximum(1.0, np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def critic_value(params, h):
+    """Critic output for one embedding vector."""
+    return float(ad.evaluate(net.build_critic(params,
+                                              ad.const(h[None])))[0, 0])
 
 
 @pytest.fixture

@@ -195,6 +195,8 @@ def test_bundle_of_good_shapes_loads(tmp_path):
     ([True], "meta block must be an object"),
     ({}, "boolean 'length_norm'"),
     ({"length_norm": "yes"}, "boolean 'length_norm'"),
+    ({"length_norm": 1}, "boolean 'length_norm'"),
+    ({"length_norm": 0}, "boolean 'length_norm'"),
 ])
 def test_bundle_rejects_bad_meta(tmp_path, meta, message):
     path = tmp_path / "backend.advb"

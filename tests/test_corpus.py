@@ -2,39 +2,27 @@ import numpy as np
 import pytest
 
 from advda import corpus as cp
-from advda.corpus import CorpusSpec, ManifestRecord
+from advda.corpus import CorpusConfig, ManifestRecord
 
 
-def small_spec(**kw):
+def small_corpus(**kw):
     base = dict(frame_dim=6, source_speakers=8, source_utts_per_speaker=4,
                 target_speakers=5, target_utts_per_speaker=3,
-                frames_range=(20, 30), seed=7)
+                frames_range=(20, 30))
     base.update(kw)
-    return CorpusSpec(**base)
+    return CorpusConfig(**base)
 
 
 # ---------------------------------------------------------------------------
-# spec validation
+# config validation
 
 
 def test_spec_rejects_bad_counts():
-    with pytest.raises(ValueError, match="positive"):
-        small_spec(source_speakers=0)
-    with pytest.raises(ValueError, match="positive"):
-        small_spec(target_utts_per_speaker=0)
-
-
-def test_spec_rejects_bad_shift_shape():
-    with pytest.raises(ValueError, match="shape"):
-        small_spec(shift_a=np.eye(3))
-    with pytest.raises(ValueError, match="shape"):
-        small_spec(shift_b=np.zeros(3))
-
-
-def test_spec_rejects_ill_conditioned_shift():
-    a = np.diag([1e4, 1.0, 1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="conditioned"):
-        small_spec(shift_a=a)
+    with pytest.raises(ValueError, match="source_speakers must be at least 1"):
+        small_corpus(source_speakers=0)
+    with pytest.raises(ValueError,
+                       match="target_utts_per_speaker must be at least 1"):
+        small_corpus(target_utts_per_speaker=0)
 
 
 def test_make_domain_shift_well_conditioned():
@@ -51,9 +39,8 @@ def test_make_domain_shift_well_conditioned():
 
 
 def test_generation_deterministic():
-    spec = small_spec()
-    c1 = cp.generate_corpus(spec)
-    c2 = cp.generate_corpus(small_spec())
+    c1 = cp.generate_corpus(small_corpus(), 7)
+    c2 = cp.generate_corpus(small_corpus(), 7)
     for domain in ("source", "target"):
         a1, m1 = c1[domain]
         a2, m2 = c2[domain]
@@ -64,15 +51,14 @@ def test_generation_deterministic():
 
 
 def test_generation_seed_changes_data():
-    a1, _ = cp.generate_domain(small_spec(), "source")
-    a2, _ = cp.generate_domain(small_spec(seed=8), "source")
+    a1, _ = cp.generate_domain(small_corpus(), "source", 7)
+    a2, _ = cp.generate_domain(small_corpus(), "source", 8)
     uid = next(iter(a1))
     assert not np.array_equal(a1[uid], a2[uid])
 
 
 def test_generation_shapes_and_dtype():
-    spec = small_spec()
-    archive, records = cp.generate_domain(spec, "source")
+    archive, records = cp.generate_domain(small_corpus(), "source", 7)
     assert len(records) == 8 * 4
     for r in records:
         frames = archive[r.utt_id]
@@ -85,19 +71,19 @@ def test_generation_shapes_and_dtype():
 
 def test_generation_unknown_domain():
     with pytest.raises(ValueError, match="domain"):
-        cp.generate_domain(small_spec(), "dev")
+        cp.generate_domain(small_corpus(), "dev", 7)
 
 
 def test_degenerate_scales_collapse_variation():
-    spec = small_spec(speaker_scale=0.0, channel_scale=0.0, noise_scale=0.0)
-    archive, _ = cp.generate_domain(spec, "source")
+    cfg = small_corpus(speaker_scale=0.0, channel_scale=0.0, noise_scale=0.0)
+    archive, _ = cp.generate_domain(cfg, "source", 7)
     for frames in archive.values():
         np.testing.assert_array_equal(frames, 0.0)
 
 
 def test_zero_noise_constant_frames_per_utterance():
-    spec = small_spec(noise_scale=0.0)
-    archive, _ = cp.generate_domain(spec, "source")
+    archive, _ = cp.generate_domain(small_corpus(noise_scale=0.0), "source",
+                                    7)
     for frames in archive.values():
         np.testing.assert_allclose(frames - frames[0], 0.0, atol=1e-6)
 
@@ -107,12 +93,11 @@ def test_moment_oracle_source():
     # (speaker^2 + channel^2 + noise^2) I within 5%; frames within a
     # speaker are correlated, so many speakers are needed, not just
     # many frames
-    spec = CorpusSpec(frame_dim=4, source_speakers=3000,
-                      source_utts_per_speaker=3, target_speakers=1,
-                      target_utts_per_speaker=1, frames_range=(10, 15),
-                      speaker_scale=1.0, channel_scale=0.3, noise_scale=0.5,
-                      seed=3)
-    archive, _ = cp.generate_domain(spec, "source")
+    cfg = CorpusConfig(frame_dim=4, source_speakers=3000,
+                       source_utts_per_speaker=3, target_speakers=1,
+                       target_utts_per_speaker=1, frames_range=(10, 15),
+                       speaker_scale=1.0, channel_scale=0.3, noise_scale=0.5)
+    archive, _ = cp.generate_domain(cfg, "source", 3)
     frames = np.concatenate([f for f in archive.values()]).astype(np.float64)
     assert frames.shape[0] >= 90000
     expected_var = 1.0 + 0.3 ** 2 + 0.5 ** 2
@@ -126,15 +111,16 @@ def test_moment_oracle_source():
 
 def test_moment_oracle_target_affine():
     # target frames are (source-process frames) @ A.T + b, so the pooled
-    # moments follow the affine image of the source moments
+    # moments follow the affine image of the source moments; the map is
+    # the shift-seed-0 one for every corpus seed
     m = 4
-    a, b = cp.make_domain_shift(m, rotation=0.6, offset=1.2, seed=11)
-    spec = CorpusSpec(frame_dim=m, source_speakers=1,
-                      source_utts_per_speaker=1, target_speakers=3000,
-                      target_utts_per_speaker=3, frames_range=(10, 15),
-                      speaker_scale=1.0, channel_scale=0.3, noise_scale=0.5,
-                      shift_a=a, shift_b=b, seed=3)
-    archive, _ = cp.generate_domain(spec, "target")
+    a, b = cp.make_domain_shift(m, rotation=0.6, offset=1.2, seed=0)
+    cfg = CorpusConfig(frame_dim=m, source_speakers=1,
+                       source_utts_per_speaker=1, target_speakers=3000,
+                       target_utts_per_speaker=3, frames_range=(10, 15),
+                       speaker_scale=1.0, channel_scale=0.3, noise_scale=0.5,
+                       shift_rotation=0.6, shift_offset=1.2)
+    archive, _ = cp.generate_domain(cfg, "target", 3)
     frames = np.concatenate([f for f in archive.values()]).astype(np.float64)
     expected_var = 1.0 + 0.3 ** 2 + 0.5 ** 2
     expected_cov = expected_var * a @ a.T
@@ -148,11 +134,10 @@ def test_moment_oracle_target_affine():
 def test_domains_linearly_separable():
     # large enough offset that utterance means separate linearly despite
     # unit-scale speaker variation
-    a, b = cp.make_domain_shift(6, rotation=0.5, offset=4.0, seed=1)
-    spec = small_spec(source_speakers=60, source_utts_per_speaker=5,
-                      target_speakers=60, target_utts_per_speaker=5,
-                      shift_a=a, shift_b=b)
-    corpus = cp.generate_corpus(spec)
+    cfg = small_corpus(source_speakers=60, source_utts_per_speaker=5,
+                       target_speakers=60, target_utts_per_speaker=5,
+                       shift_rotation=0.5, shift_offset=4.0)
+    corpus = cp.generate_corpus(cfg, 7)
     xs, ys = [], []
     for label, domain in enumerate(("source", "target")):
         archive, _ = corpus[domain]
@@ -169,8 +154,8 @@ def test_domains_linearly_separable():
 
 
 def test_second_language_split():
-    spec = small_spec(target_speakers=6, second_language=True)
-    _, records = cp.generate_domain(spec, "target")
+    cfg = small_corpus(target_speakers=6, second_language=True)
+    _, records = cp.generate_domain(cfg, "target", 7)
     langs = {r.speaker_id: r.language for r in records}
     assert set(langs.values()) == {"lang1", "lang2"}
     n2 = sum(1 for v in langs.values() if v == "lang2")
@@ -178,8 +163,8 @@ def test_second_language_split():
 
 
 def test_augmentation_copies_preserve_labels():
-    spec = small_spec(augment_copies=2, augment_scale=0.05)
-    archive, records = cp.generate_domain(spec, "source")
+    cfg = small_corpus(augment_copies=2, augment_scale=0.05)
+    archive, records = cp.generate_domain(cfg, "source", 7)
     assert len(records) == 8 * 4 * 3
     by_id = {r.utt_id: r for r in records}
     for r in records:

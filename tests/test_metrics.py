@@ -260,4 +260,4 @@ def test_report_requires_both_trial_kinds():
     scores = ScoreSet({("a", "b"): 1.0})
     trials = TrialList([Trial("a", "b", True)])
     with pytest.raises(ValueError, match="target"):
-        mx.compute_eer(scores, trials)
+        mx.evaluation_report(scores, trials)

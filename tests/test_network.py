@@ -8,6 +8,7 @@ from advda import autodiff as ad
 from advda import container
 from advda import network as net
 from advda.network import NetworkConfig
+from conftest import critic_value
 
 
 def small_config(**kw):
@@ -18,6 +19,28 @@ def small_config(**kw):
                 critic_widths=(7, 7))
     base.update(kw)
     return NetworkConfig(**base)
+
+
+# single-array calls of the ops and builders that the tests below check
+
+
+def splice(frames, offsets):
+    return ad.evaluate(ad.splice(ad.const(frames), offsets))
+
+
+def pool(frames):
+    return ad.evaluate(ad.stats_pool(ad.const(frames)))[0]
+
+
+def classify(params, h, head):
+    """Log-posteriors over the head's speakers for one embedding."""
+    return ad.evaluate(net.build_classifier(params, ad.const(h[None]), head,
+                                            training=False))[0]
+
+
+def cross_entropy(logp, label, normalizer):
+    return float(ad.evaluate(ad.cross_entropy(ad.const(logp[None]), [label],
+                                              normalizer)))
 
 
 def test_config_validation():
@@ -103,19 +126,19 @@ def test_domain_bit_zero_matches_unconditioned():
 
 def test_splice_identity():
     x = np.arange(12.0).reshape(4, 3)
-    np.testing.assert_array_equal(net.splice_context(x, (0,)), x)
+    np.testing.assert_array_equal(splice(x, (0,)), x)
 
 
 def test_splice_clamping_three_frames():
     a, b, c = [1.0, 10.0], [2.0, 20.0], [3.0, 30.0]
-    out = net.splice_context(np.array([a, b, c]), (-1, 0, 1))
+    out = splice(np.array([a, b, c]), (-1, 0, 1))
     np.testing.assert_array_equal(out, [a + a + b, a + b + c, b + c + c])
 
 
 def test_splice_index_oracle(rng):
     x = rng.normal(size=(11, 3))
     offsets = (-3, 0, 3)
-    out = net.splice_context(x, offsets)
+    out = splice(x, offsets)
     for t in range(11):
         for k, off in enumerate(offsets):
             np.testing.assert_array_equal(
@@ -125,7 +148,7 @@ def test_splice_index_oracle(rng):
 
 def test_splice_too_short():
     with pytest.raises(Exception, match="shorter"):
-        net.splice_context(np.zeros((2, 3)), (-2, 0, 2))
+        splice(np.zeros((2, 3)), (-2, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +156,27 @@ def test_splice_too_short():
 
 
 def test_stats_pool_constant_frames():
-    out = net.stats_pool(np.full((5, 3), 2.5))
+    out = pool(np.full((5, 3), 2.5))
     np.testing.assert_allclose(out[:3], 2.5)
     np.testing.assert_allclose(out[3:], 1e-5, rtol=1e-6)
 
 
 def test_stats_pool_two_points():
-    out = net.stats_pool(np.array([[0.0], [2.0]]))
+    out = pool(np.array([[0.0], [2.0]]))
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_stats_pool_random_oracle(rng):
     x = rng.normal(size=(50, 7))
-    out = net.stats_pool(x)
+    out = pool(x)
     np.testing.assert_allclose(out[:7], x.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(out[7:], x.std(axis=0), rtol=1e-6)
 
 
 def test_stats_pool_empty():
-    with pytest.raises(ValueError):
-        net.stats_pool(np.zeros((0, 3)))
+    with pytest.raises(ad.GraphError, match="non-empty"):
+        pool(np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +254,7 @@ def test_classify_uniform_with_zero_head(rng):
                            np.zeros_like(params.heads.value("head_source.W")))
     params.heads.set_value("head_source.b",
                            np.zeros(cfg.n_source_classes))
-    logp = net.classify(params, rng.normal(size=cfg.embed_dim), "source")
+    logp = classify(params, rng.normal(size=cfg.embed_dim), "source")
     np.testing.assert_allclose(logp, np.log(1.0 / cfg.n_source_classes),
                                rtol=1e-12)
 
@@ -239,7 +262,7 @@ def test_classify_uniform_with_zero_head(rng):
 def test_classify_is_log_probability(rng):
     params = net.init_network(small_config(), seed=2)
     for head in ("source", "target"):
-        logp = net.classify(params, rng.normal(size=5), head)
+        logp = classify(params, rng.normal(size=5), head)
         assert abs(np.exp(logp).sum() - 1.0) <= 1e-12
 
 
@@ -247,7 +270,7 @@ def test_classify_argmax_matches_affine_scores(rng):
     cfg = small_config()
     params = net.init_network(cfg, seed=9)
     h = rng.normal(size=cfg.embed_dim)
-    logp = net.classify(params, h, "target")
+    logp = classify(params, h, "target")
 
     hp = params.heads
     x = np.maximum(h, 0.0)
@@ -261,7 +284,7 @@ def test_classify_argmax_matches_affine_scores(rng):
 def test_classify_unknown_head(rng):
     params = net.init_network(small_config(), seed=0)
     with pytest.raises(ValueError, match="head"):
-        net.classify(params, np.zeros(5), "middle")
+        classify(params, np.zeros(5), "middle")
 
 
 def test_heads_share_embedding(rng):
@@ -283,7 +306,7 @@ def test_critic_zero_params(rng):
     for name in params.critic.names():
         params.critic.set_value(name,
                                 np.zeros_like(params.critic.value(name)))
-    assert net.critic_forward(params, rng.normal(size=5)) == 0.0
+    assert critic_value(params, rng.normal(size=5)) == 0.0
 
 
 def test_critic_linear_passthrough(rng):
@@ -299,7 +322,7 @@ def test_critic_linear_passthrough(rng):
     h = rng.normal(size=5)
     # offsets keep every activation positive: f(h) = w.(h + 100) + b
     expected = float((w @ (h + 100.0))[0] - 0.5)
-    assert net.critic_forward(params, h) == pytest.approx(expected, rel=1e-12)
+    assert critic_value(params, h) == pytest.approx(expected, rel=1e-12)
 
 
 def test_critic_matches_numpy_oracle(rng):
@@ -313,13 +336,13 @@ def test_critic_matches_numpy_oracle(rng):
     z1 = cr.value("W1") @ a0 + cr.value("b1")
     a1 = np.where(z1 > 0, z1, s * z1)
     expected = float((cr.value("W2") @ a1 + cr.value("b2"))[0])
-    assert net.critic_forward(params, h) == pytest.approx(expected, rel=1e-12)
+    assert critic_value(params, h) == pytest.approx(expected, rel=1e-12)
 
 
 def test_critic_dimension_checked():
     params = net.init_network(small_config(), seed=0)
-    with pytest.raises(ValueError, match="size"):
-        net.critic_forward(params, np.zeros(4))
+    with pytest.raises(ad.GraphError, match="shape"):
+        critic_value(params, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +352,22 @@ def test_critic_dimension_checked():
 def test_cross_entropy_uniform_is_one():
     l = 7
     logp = np.full(l, np.log(1.0 / l))
-    assert net.cross_entropy_loss(logp, 3, np.log(l)) == pytest.approx(1.0)
+    assert cross_entropy(logp, 3, np.log(l)) == pytest.approx(1.0)
 
 
 def test_cross_entropy_perfect_is_zero():
     logp = np.array([0.0, -50.0, -50.0])
-    assert net.cross_entropy_loss(logp, 0, np.log(3)) == 0.0
+    assert cross_entropy(logp, 0, np.log(3)) == 0.0
 
 
 def test_cross_entropy_quarter_on_four():
     logp = np.log(np.full(4, 0.25))
-    assert net.cross_entropy_loss(logp, 2, np.log(4)) == pytest.approx(1.0)
+    assert cross_entropy(logp, 2, np.log(4)) == pytest.approx(1.0)
 
 
 def test_cross_entropy_label_range():
-    with pytest.raises(ValueError):
-        net.cross_entropy_loss(np.zeros(3), 3, np.log(3))
+    with pytest.raises(ad.GraphError, match="out of range"):
+        cross_entropy(np.zeros(3), 3, np.log(3))
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,8 @@ def test_config_rejects_bad_section_values():
      "backend: plda_iterations must be at least 1, got 2.5"),
     ({"trials": {"nontarget_per_target": True}},
      "trials: nontarget_per_target must be at least 1, got True"),
-    ({"seed": 1.7}, "seed: expected an integer, got 1.7"),
-    ({"seed": "abc"}, "seed: expected an integer, got 'abc'"),
+    ({"seed": 1.7}, "seed must be at least 0, got 1.7"),
+    ({"seed": "abc"}, "seed must be at least 0, got 'abc'"),
     ({"out_dir": None}, "config: out_dir: expected a string, got None"),
     ({"out_dir": 5}, "config: out_dir: expected a string, got 5"),
     ({"train_base": {"epochs": "3"}},
@@ -164,10 +164,23 @@ def test_config_rejects_bad_section_values():
      "train_adapt: critic_steps must be at least 1, got 0"),
     ({"corpus": {"target_speakers": 0}},
      "corpus: target_speakers must be at least 1, got 0"),
+    ({"seed": -1}, "config: seed must be at least 0, got -1"),
+    ({"corpus": {"shift_offset": float("nan")}},
+     "corpus: shift_offset must be finite, got nan"),
+    ({"network": {"leaky_slope": float("inf")}},
+     "network: leaky_slope must be finite, got inf"),
 ])
 def test_config_rejects_inconsistent_sections(data, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_file_with_json_nan_is_rejected(tmp_path):
+    path = tmp_path / "experiment.json"
+    path.write_text('{"corpus": {"shift_offset": NaN}}')
+    with pytest.raises(ConfigError, match="corpus: shift_offset must be "
+                                          "finite, got nan"):
+        ExperimentConfig.load(path)
 
 
 @pytest.mark.parametrize("section, key", [
@@ -457,6 +470,16 @@ def test_cli_synth_and_overrides(tmp_path):
     assert os.path.exists(tmp_path / "other" / "source.xvf")
     manifest = read_json(tmp_path / "other" / "synth.manifest.json")
     assert manifest["config"]["seed"] == 9
+
+
+def test_cli_rejects_negative_seed_before_writing(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "other"
+    result = CliRunner().invoke(cli.main, ["synth", "--config", str(path),
+                                           "--out", str(out), "--seed", "-1"])
+    assert result.exit_code != 0
+    assert "seed must be at least 0, got -1" in str(result.exception)
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_mode(tmp_path):

@@ -3,23 +3,31 @@ import dataclasses
 import pytest
 
 from advda import backend as be
+from advda import corpus as cp
 from advda import network as net
 from advda import pipeline as pl
 from advda import schema
 from advda import trainer as tr
 
-CONFIG_CLASSES = (pl.CorpusSection, pl.BackendSection, pl.TrialsSection,
+CONFIG_CLASSES = (cp.CorpusConfig, pl.BackendSection, pl.TrialsSection,
                   pl.ExperimentConfig, net.NetworkConfig, tr.TrainConfig,
                   be.AdaptParams)
+NAN = float("nan")
+NAN_OF = {float: NAN, float | None: NAN, tuple[float, float]: (NAN, NAN)}
 
 
 @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
 def test_every_config_field_is_declared_and_checked(cls):
     cls()                                   # every default passes
     for f in dataclasses.fields(cls):
-        schema.describe(schema.hints(cls)[f.name])  # a supported annotation
+        tp = schema.hints(cls)[f.name]
+        schema.describe(tp)                 # a supported annotation
         with pytest.raises(ValueError, match=rf"^{f.name}[: ]"):
             cls(**{f.name: object()})
+        if tp in NAN_OF:                     # a float field
+            with pytest.raises(ValueError, match=rf"^{f.name} must be "
+                                                 r"finite, got \(?nan"):
+                cls(**{f.name: NAN_OF[tp]})
 
 
 def test_describe_rejects_unsupported_annotations():

@@ -6,6 +6,7 @@ from advda import network as net
 from advda import trainer as tr
 from advda.network import NetworkConfig
 from advda.trainer import BatchItem, Minibatch, TrainConfig
+from conftest import critic_value
 
 
 def tiny_config(**kw):
@@ -241,8 +242,8 @@ def test_gradient_penalty_matches_finite_differences(rng):
             hp, hm = row.copy(), row.copy()
             hp[k] += eps
             hm[k] -= eps
-            g[k] = (net.critic_forward(params, hp)
-                    - net.critic_forward(params, hm)) / (2 * eps)
+            g[k] = (critic_value(params, hp)
+                    - critic_value(params, hm)) / (2 * eps)
         norms.append(np.linalg.norm(g))
     expected = np.mean([(n - 1.0) ** 2 for n in norms])
     assert tr.gradient_penalty(params, hhat) == pytest.approx(
@@ -321,7 +322,8 @@ def test_main_step_folds_batch_statistics_once(rng):
     ad.evaluate(ad.concat([hs_node, ht_node], axis=0))
     tr.main_step(params, batch, cfg, 0.1, hs_node=hs_node, ht_node=ht_node)
     spliced = np.concatenate([
-        net.splice_context(it.frames, params.config.tdnn_contexts[0])
+        ad.evaluate(ad.splice(ad.const(it.frames),
+                              params.config.tdnn_contexts[0]))
         for it in batch.source + batch.target])
     mu = np.maximum(spliced @ w.T + b, 0.0).mean(axis=0)
     m = params.config.bn_momentum
