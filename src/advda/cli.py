@@ -26,8 +26,11 @@ def with_config(command):
         # replace() checks the overrides as the config file's values are
         overrides = {name: value for name, value in
                      (("out_dir", out), ("seed", seed)) if value is not None}
-        cfg = dataclasses.replace(ExperimentConfig.load(config_path),
-                                  **overrides)
+        try:
+            cfg = dataclasses.replace(ExperimentConfig.load(config_path),
+                                      **overrides)
+        except ValueError as err:   # ConfigError, or JSON that does not parse
+            raise click.UsageError(str(err)) from err
         return command(cfg, **kwargs)
     return load_and_run
 

@@ -9,129 +9,167 @@ infinite endpoints; tied scores cross a threshold together.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .backend import PldaScorer, apply_transform
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll: str
-    test: str
-    target: bool
+def _read_columns(path, what):
+    """The three columns of a whitespace-separated file, and its token
+    count per line, for naming lines in errors (blank lines are skipped
+    but counted)."""
+    with open(path) as f:
+        text = f.read()
+    # lines numbered as `for line in f` numbers them; str.splitlines
+    # would also break them at \x0b, \x0c, \x1c-\x1e, \x85 and \u2028
+    counts = list(map(len, map(str.split, text.split("\n"))))
+    if not set(counts) <= {0, 3}:
+        lineno = next(n for n, c in enumerate(counts, 1) if c not in (0, 3))
+        raise ValueError(f"{path}:{lineno}: bad {what} line")
+    tokens = text.split()
+    return (tokens[0::3], tokens[1::3], tokens[2::3]), counts
+
+
+def _lineno(counts, k):
+    """1-based line number of the k-th non-blank line."""
+    return [n for n, c in enumerate(counts, 1) if c][k]
+
+
+def _first_repeat(keys):
+    """Index of the first key equal to an earlier one, or None."""
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
 
 
 class TrialList:
-    def __init__(self, trials):
-        self.trials = list(trials)
-        seen = set()
-        for t in self.trials:
-            key = (t.enroll, t.test)
-            if key in seen:
-                raise ValueError(f"duplicate trial {key}")
-            seen.add(key)
+    """Trials as columns: enroll and test utterance ids and a bool
+    target flag per trial."""
+
+    def __init__(self, enroll, test, target):
+        self.enroll, self.test = list(enroll), list(test)
+        self.target = np.asarray(target, dtype=bool)
+        if len(self.test) != len(self.enroll) \
+                or self.target.shape != (len(self.enroll),):
+            raise ValueError("trial columns differ in length")
+        if len(set(zip(self.enroll, self.test))) != len(self.enroll):
+            i = _first_repeat(zip(self.enroll, self.test))
+            raise ValueError(
+                f"duplicate trial {(self.enroll[i], self.test[i])}")
 
     def __len__(self):
-        return len(self.trials)
-
-    def __iter__(self):
-        return iter(self.trials)
+        return len(self.enroll)
 
     @classmethod
     def read(cls, path):
-        trials = []
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-                    raise ValueError(f"{path}:{lineno}: bad trial line")
-                trials.append(Trial(parts[0], parts[1],
-                                    parts[2] == "target"))
-        return cls(trials)
+        (enroll, test, kind), counts = _read_columns(path, "trial")
+        if not set(kind) <= {"target", "nontarget"}:
+            i = next(i for i, k in enumerate(kind)
+                     if k not in ("target", "nontarget"))
+            raise ValueError(f"{path}:{_lineno(counts, i)}: bad trial line")
+        return cls(enroll, test, [k == "target" for k in kind])
 
     def write(self, path):
+        kinds = ("nontarget", "target")
         with open(path, "w") as f:
-            for t in self.trials:
-                key = "target" if t.target else "nontarget"
-                f.write(f"{t.enroll} {t.test} {key}\n")
+            f.write("".join(f"{e} {t} {kinds[k]}\n" for e, t, k in
+                            zip(self.enroll, self.test,
+                                self.target.tolist())))
 
 
 class ScoreSet:
-    def __init__(self, scores: dict):
-        for key, s in scores.items():
-            if not np.isfinite(s):
-                raise ValueError(f"non-finite score for trial {key}")
-        self.scores = dict(scores)
+    """Scores as columns: enroll and test utterance ids and a float64
+    value per trial, with `index` mapping each (enroll, test) pair to its
+    row."""
+
+    def __init__(self, enroll, test, values):
+        self.enroll, self.test = list(enroll), list(test)
+        self.values = np.asarray(values, dtype=np.float64)
+        if len(self.test) != len(self.enroll) \
+                or self.values.shape != (len(self.enroll),):
+            raise ValueError("score columns differ in length")
+        self.index = dict(zip(zip(self.enroll, self.test),
+                              range(len(self.enroll))))
+        if len(self.index) != len(self.enroll):
+            i = _first_repeat(zip(self.enroll, self.test))
+            raise ValueError(
+                f"duplicate score for trial {self.enroll[i]} {self.test[i]}")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            i = finite.argmin()
+            raise ValueError(f"non-finite score for trial "
+                             f"{self.enroll[i]} {self.test[i]}")
 
     def __len__(self):
-        return len(self.scores)
+        return len(self.enroll)
 
     def __getitem__(self, key):
-        return self.scores[key]
+        return float(self.values[self.index[key]])
 
     @classmethod
     def read(cls, path):
-        scores = {}
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: bad score line")
-                key = (parts[0], parts[1])
-                if key in scores:
-                    raise ValueError(f"{path}:{lineno}: duplicate score")
-                scores[key] = float(parts[2])
-        return cls(scores)
+        (enroll, test, text), counts = _read_columns(path, "score")
+        values = np.fromiter(map(float, text), np.float64, len(text))
+        try:
+            return cls(enroll, test, values)
+        except ValueError:
+            i = _first_repeat(zip(enroll, test))
+            if i is None:
+                raise
+            raise ValueError(
+                f"{path}:{_lineno(counts, i)}: duplicate score") from None
 
     def write(self, path):
         with open(path, "w") as f:
-            for (e, t), s in self.scores.items():
-                # repr is the shortest string that reads back exactly
-                f.write(f"{e} {t} {float(s)!r}\n")
+            # repr is the shortest string that reads back exactly
+            f.write("".join(f"{e} {t} {s!r}\n" for e, t, s in
+                            zip(self.enroll, self.test,
+                                self.values.tolist())))
 
 
 def score_trials(transform, model, embeddings: dict,
                  trials: TrialList) -> ScoreSet:
-    """PLDA LLR per trial; embeddings maps utterance id to raw vector."""
-    for t in trials:
-        for uid in (t.enroll, t.test):
-            if uid not in embeddings:
-                raise ValueError(f"no embedding for utterance {uid!r}")
-    transformed = {}
+    """PLDA LLR per trial; embeddings maps utterance id to raw vector.
 
-    def get(uid):
-        if uid not in transformed:
-            transformed[uid] = apply_transform(transform, embeddings[uid])
-        return transformed[uid]
-
+    Each distinct utterance is transformed once, on its own vector, and
+    the trial rows are gathered from those, so every LLR has the bits of
+    scoring the stacked per-trial vectors."""
+    # distinct ids in trial order, enroll before test
+    uids = list(dict.fromkeys(chain.from_iterable(
+        zip(trials.enroll, trials.test))))
+    missing = next((u for u in uids if u not in embeddings), None)
+    if missing is not None:
+        raise ValueError(f"no embedding for utterance {missing!r}")
     scorer = PldaScorer(model)
     if not len(trials):
-        return ScoreSet({})
-    enroll = np.stack([get(t.enroll) for t in trials])
-    test = np.stack([get(t.test) for t in trials])
-    llrs = scorer.score(enroll, test)
-    return ScoreSet({(t.enroll, t.test): float(s)
-                     for t, s in zip(trials, llrs)})
+        return ScoreSet([], [], [])
+    vectors = np.stack([apply_transform(transform, embeddings[u])
+                        for u in uids])
+    row = {u: i for i, u in enumerate(uids)}
+
+    def gather(ids):
+        return vectors[np.fromiter(map(row.__getitem__, ids), np.intp,
+                                   len(ids))]
+
+    llrs = scorer.score(gather(trials.enroll), gather(trials.test))
+    return ScoreSet(trials.enroll, trials.test, llrs)
 
 
 def _split_scores(scores: ScoreSet, trials: TrialList):
-    tgt, non = [], []
-    for t in trials:
-        s = scores.scores.get((t.enroll, t.test))
-        if s is None:
-            raise ValueError(f"no score for trial {t.enroll} {t.test}")
-        (tgt if t.target else non).append(s)
-    if not tgt or not non:
+    rows = list(map(scores.index.get, zip(trials.enroll, trials.test)))
+    if None in rows:
+        i = rows.index(None)
+        raise ValueError(
+            f"no score for trial {trials.enroll[i]} {trials.test[i]}")
+    if trials.target.all() or not trials.target.any():
         raise ValueError("need at least one target and one nontarget trial")
-    return np.asarray(tgt, dtype=np.float64), np.asarray(non, dtype=np.float64)
+    values = scores.values[np.array(rows, dtype=np.intp)]
+    return values[trials.target], values[~trials.target]
 
 
 def _error_rates(tgt: np.ndarray, non: np.ndarray):

@@ -232,20 +232,22 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
     by_speaker = {}
     for r in records:
         by_speaker.setdefault(r.speaker_id, []).append(r.utt_id)
-    trials = []
+    enroll, test = [], []
     for spk in sorted(by_speaker):
         utts = by_speaker[spk]
         for i in range(len(utts)):
             for j in range(i + 1, len(utts)):
-                trials.append(mt.Trial(utts[i], utts[j], True))
-    wanted = nontarget_per_target * len(trials)
+                enroll.append(utts[i])
+                test.append(utts[j])
+    n_target = len(enroll)
+    wanted = nontarget_per_target * n_target
     n_non = wanted
     rng = np.random.default_rng([seed, 99])
     speakers = sorted(by_speaker)
     if n_non > 0 and len(speakers) < 2:
         raise ValueError(f"nontarget trials need at least 2 eval speakers, "
                          f"got {len(speakers)}")
-    seen = {(t.enroll, t.test) for t in trials}
+    seen = set(zip(enroll, test))
     attempts = 0
     while n_non > 0 and attempts < 200000:
         s1, s2 = rng.choice(len(speakers), size=2, replace=False)
@@ -255,7 +257,8 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
             0, len(by_speaker[speakers[s2]]))]
         if (u1, u2) not in seen and (u2, u1) not in seen:
             seen.add((u1, u2))
-            trials.append(mt.Trial(u1, u2, False))
+            enroll.append(u1)
+            test.append(u2)
             n_non -= 1
         attempts += 1
     if n_non > 0:
@@ -263,7 +266,8 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
             f"trials.nontarget_per_target={nontarget_per_target} asks for "
             f"{wanted} nontarget trials, but {attempts} draws found only "
             f"{wanted - n_non} distinct pairs; lower it or add eval speakers")
-    return mt.TrialList(trials)
+    # the targets come first
+    return mt.TrialList(enroll, test, np.arange(len(enroll)) < n_target)
 
 
 def _load_feats(xvf, tsv):

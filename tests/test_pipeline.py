@@ -276,16 +276,12 @@ def test_make_trials_composition():
             records.append(cp.ManifestRecord(f"ev-{s}-{u}", f"spk{s}",
                                              "target", "lang1", 20))
     trials = pl.make_trials(records, nontarget_per_target=2, seed=0)
-    targets = [t for t in trials if t.target]
-    nons = [t for t in trials if not t.target]
     # all within-speaker pairs: C(3,2) per speaker
-    assert len(targets) == 4 * 3
-    assert len(nons) == 2 * len(targets)
+    assert trials.target.sum() == 4 * 3
+    assert (~trials.target).sum() == 2 * 4 * 3
     spk = {r.utt_id: r.speaker_id for r in records}
-    for t in targets:
-        assert spk[t.enroll] == spk[t.test]
-    for t in nons:
-        assert spk[t.enroll] != spk[t.test]
+    for e, t, target in zip(trials.enroll, trials.test, trials.target):
+        assert (spk[e] == spk[t]) == target
 
 
 def test_make_trials_deterministic():
@@ -293,7 +289,8 @@ def test_make_trials_deterministic():
                for s in range(5) for u in range(3)]
     t1 = pl.make_trials(records, 3, seed=7)
     t2 = pl.make_trials(records, 3, seed=7)
-    assert list(t1) == list(t2)
+    assert (t1.enroll, t1.test) == (t2.enroll, t2.test)
+    assert t1.target.tolist() == t2.target.tolist()
 
 
 def test_make_trials_never_comes_up_short():
@@ -477,9 +474,19 @@ def test_cli_rejects_negative_seed_before_writing(tmp_path):
     out = tmp_path / "other"
     result = CliRunner().invoke(cli.main, ["synth", "--config", str(path),
                                            "--out", str(out), "--seed", "-1"])
-    assert result.exit_code != 0
-    assert "seed must be at least 0, got -1" in str(result.exception)
+    assert result.exit_code == 2
+    assert "Error: seed must be at least 0, got -1" in result.output
     assert not out.exists()
+
+
+def test_cli_rejects_unknown_config_key(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**desk_config_dict(tmp_path / "run"),
+                                "sed": 3}))
+    result = CliRunner().invoke(cli.main, ["synth", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "Error: config: unknown keys ['sed']" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_rejects_bad_mode(tmp_path):
