@@ -121,8 +121,8 @@ def estimate_transform(vectors, labels, r,
     return BackendTransform(mean=mean, lda=lda, length_norm=length_norm)
 
 
-def plda_train_em(vectors: np.ndarray, labels, iterations: int = 20,
-                  return_ll: bool = False):
+def plda_train_em(vectors: np.ndarray, labels,
+                  iterations: int = 20) -> PldaModel:
     """Fit the two-covariance PLDA by EM.
 
     Per-iteration log-likelihood is monotone non-decreasing.  Raises if
@@ -143,17 +143,12 @@ def plda_train_em(vectors: np.ndarray, labels, iterations: int = 20,
     gv = np.cov(vectors.T, bias=True).reshape(r, r)
     between = _floor_psd(0.5 * gv, 1e-6)
     within = _floor_psd(0.5 * gv, 1e-6)
-    lls = []
     for _ in range(iterations):
         b_inv = np.linalg.inv(between)
         w_inv = np.linalg.inv(within)
-        ll = 0.0
-        ey = []
         eyy_sum = np.zeros((r, r))
         resid = np.zeros((r, r))
         mu_acc = np.zeros(r)
-        sign_b, logdet_b = np.linalg.slogdet(between)
-        sign_w, logdet_w = np.linalg.slogdet(within)
         for g in groups:
             n = g.shape[0]
             d = g - mu
@@ -161,25 +156,14 @@ def plda_train_em(vectors: np.ndarray, labels, iterations: int = 20,
             lam_inv = np.linalg.inv(lam)
             q = w_inv @ d.sum(axis=0)
             m = lam_inv @ q
-            # marginal log-likelihood of the class, latent mean integrated out
-            sign_l, logdet_l = np.linalg.slogdet(lam)
-            ll += (-0.5 * n * r * np.log(2 * np.pi)
-                   - 0.5 * n * logdet_w - 0.5 * logdet_b - 0.5 * logdet_l
-                   - 0.5 * np.einsum("ij,jk,ik->", d, w_inv, d)
-                   + 0.5 * q @ lam_inv @ q)
-            ey.append(m)
             eyy_sum += np.outer(m, m) + lam_inv
             e = d - m
             resid += e.T @ e + n * lam_inv
             mu_acc += (g - m).sum(axis=0)
-        lls.append(ll)
         mu = mu_acc / n_total
         between = _floor_psd(eyy_sum / len(groups))
         within = _floor_psd(resid / n_total)
-    model = PldaModel(mu=mu, between=between, within=within)
-    if return_ll:
-        return model, lls
-    return model
+    return PldaModel(mu=mu, between=between, within=within)
 
 
 def _diagonalize(model: PldaModel):

@@ -31,7 +31,10 @@ def with_config(command):
                                       **overrides)
         except ValueError as err:   # ConfigError, or JSON that does not parse
             raise click.UsageError(str(err)) from err
-        return command(cfg, **kwargs)
+        try:
+            return command(cfg, **kwargs)
+        except (ValueError, FileNotFoundError) as err:  # bad or missing input
+            raise click.ClickException(str(err)) from err
     return load_and_run
 
 
@@ -89,11 +92,9 @@ def backend(cfg, tag):
 @main.command("backend-adapt")
 @with_config
 @click.option("--tag", required=True)
-@click.option("--xi", default=None, type=float)
-@click.option("--eta", default=None, type=float)
-def backend_adapt(cfg, tag, xi, eta):
+def backend_adapt(cfg, tag):
     """Unsupervised covariance adaptation of the PLDA."""
-    click.echo(cmd_backend_adapt(cfg, tag, xi=xi, eta=eta))
+    click.echo(cmd_backend_adapt(cfg, tag))
 
 
 @main.command()

@@ -206,7 +206,8 @@ def read_manifest(path):
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 5:
+            # five columns, the last a frame count
+            if len(parts) != 5 or not parts[4].isdecimal():
                 raise ValueError(f"{path}:{lineno}: bad manifest row")
             if parts[0] in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate utt-id")

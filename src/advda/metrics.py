@@ -37,6 +37,14 @@ def _lineno(counts, k):
     return [n for n, c in enumerate(counts, 1) if c][k]
 
 
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _first_repeat(keys):
     """Index of the first key equal to an earlier one, or None."""
     seen = set()
@@ -114,7 +122,12 @@ class ScoreSet:
     @classmethod
     def read(cls, path):
         (enroll, test, text), counts = _read_columns(path, "score")
-        values = np.fromiter(map(float, text), np.float64, len(text))
+        try:
+            values = np.fromiter(map(float, text), np.float64, len(text))
+        except ValueError:
+            i = next(i for i, t in enumerate(text) if not _is_float(t))
+            raise ValueError(
+                f"{path}:{_lineno(counts, i)}: bad score line") from None
         try:
             return cls(enroll, test, values)
         except ValueError:

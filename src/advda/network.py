@@ -134,18 +134,16 @@ def resize_target_head(params: NetworkParams, n_classes: int,
 
 
 def build_embedding(params: NetworkParams, frames: Node, bit: int,
-                    training: bool, use_bit: bool | None = None, *,
-                    n_frames: int) -> Node:
+                    training: bool, *, n_frames: int) -> Node:
     """Graph from a (T, m) frame node to the (1, d) embedding node.
 
     A batch of one utterance; see `build_embedding_batch`.
     """
-    return build_embedding_batch(params, frames, [n_frames], [bit], training,
-                                 use_bit=use_bit)
+    return build_embedding_batch(params, frames, [n_frames], [bit], training)
 
 
 def build_embedding_batch(params: NetworkParams, frames: Node, counts, bits,
-                          training: bool, use_bit: bool | None = None) -> Node:
+                          training: bool) -> Node:
     """Graph from several utterances to their (n, d) embedding rows.
 
     `frames` holds the utterances' frames stacked along the rows,
@@ -155,14 +153,13 @@ def build_embedding_batch(params: NetworkParams, frames: Node, counts, bits,
     statistics over the whole minibatch (mixing domains when both are
     present).
 
-    When the network was built with the domain-bit input, the bit column
-    is always appended (the weight shapes require it); `use_bit=False`
-    forces its value to zero so the embedding is unconditioned.
+    When the network was built with the domain-bit input, every
+    extractor affine layer's input gets the bit column, and the bits are
+    used as given; a caller that wants an unconditioned embedding passes
+    zeros.
     """
     cfg = params.config
     ext = params.extractor
-    if use_bit is None:
-        use_bit = cfg.use_domain_bit
     counts = [int(n) for n in counts]
     if not counts:
         raise ValueError("embedding batch needs at least one utterance")
@@ -171,7 +168,6 @@ def build_embedding_batch(params: NetworkParams, frames: Node, counts, bits,
                          f"utterances")
     if any(bit not in (0, 1) for bit in bits):
         raise ValueError("domain bit must be 0 or 1")
-    bits = [float(bit) if use_bit else 0.0 for bit in bits]
 
     # bit columns for frame rows and for pooled rows, shared by the layers
     frame_bits = ad.const(np.repeat(bits, counts)[:, None])

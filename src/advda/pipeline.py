@@ -379,9 +379,7 @@ def cmd_backend(cfg: ExperimentConfig, tag: str) -> str:
     return out
 
 
-def cmd_backend_adapt(cfg: ExperimentConfig, tag: str,
-                      xi: float | None = None,
-                      eta: float | None = None) -> str:
+def cmd_backend_adapt(cfg: ExperimentConfig, tag: str) -> str:
     """Kaldi-style covariance adaptation of the PLDA on target embeddings."""
     bundle = cfg.path(f"backend_{tag}.advb")
     tgt_emb = cfg.path(f"emb_target_{tag}.xvf")
@@ -390,8 +388,7 @@ def cmd_backend_adapt(cfg: ExperimentConfig, tag: str,
         transform, model = be.load_bundle(bundle)
         vectors = np.stack([be.apply_transform(transform, v)
                             for v in _read_embeddings(tgt_emb).values()])
-        p = be.AdaptParams(xi=cfg.backend.xi if xi is None else xi,
-                           eta=cfg.backend.eta if eta is None else eta)
+        p = be.AdaptParams(xi=cfg.backend.xi, eta=cfg.backend.eta)
         be.save_bundle(out, transform, be.plda_adapt(model, vectors, p))
     return out
 

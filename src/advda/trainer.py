@@ -208,28 +208,24 @@ def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
     return float(l_wd.value), float(l_grad.value)
 
 
-def _batch_embedding_nodes(params: NetworkParams, items, use_bit: bool,
-                           tdnn_training: bool):
-    return net.build_embedding_batch(
-        params, ad.const(np.concatenate([it.frames for it in items])),
-        [it.frames.shape[0] for it in items], [it.bit for it in items],
-        training=tdnn_training, use_bit=use_bit)
-
-
-def _domain_embedding_nodes(params: NetworkParams, batch: Minibatch,
-                            use_bit: bool, tdnn_training: bool):
-    """Source and target embedding nodes from one shared forward pass.
+def embed_minibatch(params: NetworkParams, batch: Minibatch,
+                    cfg: TrainConfig) -> ad.Node:
+    """Embedding node of the source then the target items, from one
+    forward pass.
 
     Both domains go through the same minibatch so training-mode batch
     norm sees mixed-domain statistics; per-domain batches would center
     each domain separately and erase the shift the critic must measure.
     """
-    emb = _batch_embedding_nodes(params, batch.source + batch.target,
-                                 use_bit, tdnn_training)
-    ns = len(batch.source)
-    hs_node = ad.slice_rows(emb, 0, ns)
-    ht_node = ad.slice_rows(emb, ns, ns + len(batch.target))
-    return hs_node, ht_node
+    items = batch.source + batch.target
+    # only adv+lan+sup ("domain labels in the feature extractor") sees the
+    # real bit; elsewhere bit 0 leaves the bit weights at their zero start
+    # (they get no gradient), so both domains share one embedding function
+    bits = [it.bit if cfg.mode == "adv+lan+sup" else 0 for it in items]
+    return net.build_embedding_batch(
+        params, ad.const(np.concatenate([it.frames for it in items])),
+        [it.frames.shape[0] for it in items], bits,
+        training=cfg.scope == "all")
 
 
 def _descend(params: NetworkParams, loss: ad.Node, rate: float) -> None:
@@ -242,22 +238,16 @@ def _descend(params: NetworkParams, loss: ad.Node, rate: float) -> None:
     ad.sgd_step(params.extractor, g_ext, rate, "descend")
 
 
-def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
-              rate: float, warmup: bool = False, hs_node=None, ht_node=None):
+def main_step(params: NetworkParams, batch: Minibatch, emb: ad.Node,
+              cfg: TrainConfig, rate: float, warmup: bool = False):
     """One descent step on heads and extractor; returns loss components.
 
-    When `hs_node`/`ht_node` (already-evaluated embedding nodes) are
-    given, the step reuses that forward pass so classifier and critic
-    gradients flow into the extractor from the same embeddings.
+    `emb` is the already-evaluated `embed_minibatch` node of `batch`, so
+    classifier and critic gradients flow into the extractor from the
+    same embeddings the critic steps saw.
     """
-    use_bit = params.config.use_domain_bit and cfg.mode == "adv+lan+sup"
-    tdnn_training = cfg.scope == "all"
-    if hs_node is None:
-        hs_node, ht_node = _domain_embedding_nodes(params, batch, use_bit,
-                                                   tdnn_training)
-        ad.evaluate(ad.concat([hs_node, ht_node], axis=0))
-
     ns, nt = len(batch.source), len(batch.target)
+    hs, ht = ad.slice_rows(emb, 0, ns), ad.slice_rows(emb, ns, ns + nt)
     src_labels = [it.label for it in batch.source]
     ls_norm = np.log(params.config.n_source_classes)
     lt_norm = np.log(max(params.config.n_target_classes, 2))
@@ -266,10 +256,8 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
     if classify_target:
         if any(it.label is None for it in batch.target):
             raise ValueError(f"mode {cfg.mode!r} requires target labels")
-        trunk_in = ad.concat([hs_node, ht_node], axis=0)
-    else:
-        trunk_in = hs_node
-    trunk = net.classifier_trunk(params, trunk_in, training=True)
+    trunk = net.classifier_trunk(params, emb if classify_target else hs,
+                                 training=True)
     logp_s = ad.log_softmax(net.classifier_head(
         params, ad.slice_rows(trunk, 0, ns), "source"))
     ce_s = ad.cross_entropy(logp_s, src_labels, ls_norm)
@@ -283,7 +271,7 @@ def main_step(params: NetworkParams, batch: Minibatch, cfg: TrainConfig,
         terms.append(ad.scale(ce_t_node, cfg.target_loss_weight))
     l_wd_node = None
     if cfg.adversarial and not warmup:
-        l_wd_node = critic_gap_graph(params, hs_node, ht_node)
+        l_wd_node = critic_gap_graph(params, hs, ht)
         terms.append(ad.scale(l_wd_node, cfg.delta))
     loss = terms[0]
     for t in terms[1:]:
@@ -383,26 +371,21 @@ def train(params: NetworkParams, cfg: TrainConfig,
     _apply_scope(params, cfg)
     rng = np.random.default_rng(cfg.seed)
     log = []
-    use_bit = params.config.use_domain_bit and cfg.mode == "adv+lan+sup"
-    tdnn_training = cfg.scope == "all"
     for epoch in range(cfg.epochs):
         rate1, rate2 = lr_schedule(epoch, cfg)
         warmup = epoch < cfg.warmup_epochs
         wd_vals, grad_vals, ce_s_vals, ce_t_vals = [], [], [], []
         for _ in range(cfg.minibatches_per_epoch):
             batch = sampler.sample(rng)
-            hs_node, ht_node = _domain_embedding_nodes(params, batch, use_bit,
-                                                       tdnn_training)
-            h_all = ad.evaluate(ad.concat([hs_node, ht_node], axis=0))
-            hs = h_all[:len(batch.source)]
-            ht = h_all[len(batch.source):]
+            emb = embed_minibatch(params, batch, cfg)
+            h = ad.evaluate(emb)
+            hs, ht = h[:len(batch.source)], h[len(batch.source):]
             if cfg.adversarial:
                 for _ in range(cfg.critic_steps):
                     wd, gp = critic_step(params, hs, ht, cfg, rate1, rng)
                 wd_vals.append(wd)
                 grad_vals.append(gp)
-            stats = main_step(params, batch, cfg, rate2, warmup=warmup,
-                              hs_node=hs_node, ht_node=ht_node)
+            stats = main_step(params, batch, emb, cfg, rate2, warmup=warmup)
             ce_s_vals.append(stats["source_ce"])
             if stats["target_ce"] is not None:
                 ce_t_vals.append(stats["target_ce"])
@@ -435,11 +418,11 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
         _, rate = lr_schedule(epoch, cfg)
         ce_vals = []
         for _ in range(cfg.minibatches_per_epoch):
-            items = sampler.sample(rng).source
-            hs_node = _batch_embedding_nodes(params, items, False, True)
-            logp = net.build_classifier(params, hs_node, "source",
-                                        training=True)
-            loss = ad.cross_entropy(logp, [it.label for it in items], ls_norm)
+            batch = sampler.sample(rng)
+            logp = net.build_classifier(params, embed_minibatch(
+                params, batch, cfg), "source", training=True)
+            loss = ad.cross_entropy(
+                logp, [it.label for it in batch.source], ls_norm)
             _descend(params, loss, rate)
             ce_vals.append(float(loss.value))
         log.append({"epoch": epoch, "l_wd": None, "l_grad": None,

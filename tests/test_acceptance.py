@@ -116,11 +116,11 @@ def test_criterion_1_gradient_correctness(rng):
         params = net.init_network(tiny_config(), seed=21)
         batch = make_batch(rng, params, n=3)
         cfg = tiny_train_config(mode="adv+sup")
-        hs_node, ht_node = tr._domain_embedding_nodes(params, batch,
-                                                      False, True)
+        emb = tr.embed_minibatch(params, batch, cfg)
         ns, nt = len(batch.source), len(batch.target)
-        trunk = net.classifier_trunk(
-            params, ad.concat([hs_node, ht_node], axis=0), training=True)
+        hs_node = ad.slice_rows(emb, 0, ns)
+        ht_node = ad.slice_rows(emb, ns, ns + nt)
+        trunk = net.classifier_trunk(params, emb, training=True)
         ce_s = ad.cross_entropy(
             ad.log_softmax(net.classifier_head(
                 params, ad.slice_rows(trunk, 0, ns), "source")),
@@ -390,8 +390,10 @@ def test_criterion_9_mode_scope_contracts(rng):
             batch = make_batch(np.random.default_rng(4), p,
                                labeled_target=False)
             head0 = p.heads.value("head_target.W").tobytes()
-            tr.main_step(p, batch, tiny_train_config(mode="adv"), 0.1,
-                         warmup=True)
+            cfg = tiny_train_config(mode="adv")
+            emb = tr.embed_minibatch(p, batch, cfg)
+            ad.evaluate(emb)
+            tr.main_step(p, batch, emb, cfg, 0.1, warmup=True)
             assert p.heads.value("head_target.W").tobytes() == head0
             runs.append(b"".join(p.extractor.value(n).tobytes()
                                  for n in sorted(p.extractor.names())))

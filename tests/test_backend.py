@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from advda import backend as be
 from advda.backend import AdaptParams, BackendTransform, PldaModel
@@ -145,9 +146,22 @@ def test_plda_em_singleton_classes_rejected(rng):
 
 
 def test_plda_em_loglik_monotone(rng):
+    # oracle: each class's stacked vectors are one Gaussian draw with
+    # covariance I (x) W + J (x) B, the latent class mean integrated out
     true = random_model(rng, 4)
     vectors, labels = sample_from(true, rng, 40, 5)
-    _, lls = be.plda_train_em(vectors, labels, iterations=15, return_ll=True)
+    lls = []
+    for k in range(16):
+        model = be.plda_train_em(vectors, labels, iterations=k)
+        ll = 0.0
+        for c in np.unique(labels):
+            g = vectors[labels == c]
+            n = g.shape[0]
+            cov = np.kron(np.eye(n), model.within) \
+                + np.kron(np.ones((n, n)), model.between)
+            ll += scipy.stats.multivariate_normal.logpdf(
+                g.ravel(), np.tile(model.mu, n), cov)
+        lls.append(ll)
     diffs = np.diff(lls)
     assert np.all(diffs >= -1e-8)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,20 @@ def test_manifest_bad_header(tmp_path):
     path = tmp_path / "manifest.tsv"
     path.write_text("wrong\theader\n")
     with pytest.raises(ValueError, match="header"):
+        cp.read_manifest(path)
+
+
+@pytest.mark.parametrize("row", ["u1\ts\tsource\tl\tx3",
+                                 "u1\ts\tsource\tl\t-3",
+                                 "u1\ts\tsource\tl",
+                                 "u1\ts\tsource\tl\t3\t4"])
+def test_manifest_bad_row_names_the_line(tmp_path, row):
+    path = tmp_path / "manifest.tsv"
+    cp.write_manifest(path, [ManifestRecord("u0", "s", "source", "l", 3)])
+    with open(path, "a") as f:
+        f.write(row + "\n")
+    message = re.escape(f"{path}:3: bad manifest row") + "$"
+    with pytest.raises(ValueError, match=message):
         cp.read_manifest(path)
 
 

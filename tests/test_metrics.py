@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,14 @@ def test_score_set_bad_line(tmp_path):
     path = tmp_path / "scores.txt"
     path.write_text("a b 1.0\n\nc d\n")
     with pytest.raises(ValueError, match=":3: bad score line"):
+        ScoreSet.read(path)
+
+
+def test_score_set_unparseable_value(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_text("a b 1.0\n\nc d x1\n")
+    message = re.escape(f"{path}:3: bad score line") + "$"
+    with pytest.raises(ValueError, match=message):
         ScoreSet.read(path)
 
 

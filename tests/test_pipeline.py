@@ -504,6 +504,20 @@ def test_cli_missing_config():
     assert result.exit_code != 0
 
 
+def test_cli_stage_error_is_one_line(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    scores = out / "scores_baseline.txt"
+    scores.write_text("a b 1.0\nc d x1\n")
+    (out / "trials.txt").write_text("a b target\nc d nontarget\n")
+    result = CliRunner().invoke(cli.main, ["eval", "--config", str(path),
+                                           "--tag", "baseline"])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {scores}:2: bad score line\n"
+    assert not list(out.glob("*.manifest.json"))
+
+
 def test_cli_full_pipeline(tmp_path):
     path = write_config(tmp_path)
     out = str(tmp_path / "run")
@@ -520,7 +534,7 @@ def test_cli_full_pipeline(tmp_path):
     run("extract", "--ckpt", os.path.join(out, "base.ckpt"),
         "--tag", "baseline")
     run("backend", "--tag", "baseline")
-    run("backend-adapt", "--tag", "baseline", "--xi", "0.25", "--eta", "0.75")
+    run("backend-adapt", "--tag", "baseline")
     run("score", "--tag", "baseline", "--adapted")
     eval_out = run("eval", "--tag", "baseline", "--adapted")
     assert "eer_pct=" in eval_out

@@ -300,13 +300,43 @@ def make_batch(rng, params, n=5, labeled_target=True):
     return Minibatch(source, target)
 
 
+def embed_and_step(params, batch, cfg, rate, warmup=False):
+    """A main step on a freshly embedded batch, as in `train`."""
+    emb = tr.embed_minibatch(params, batch, cfg)
+    ad.evaluate(emb)
+    return tr.main_step(params, batch, emb, cfg, rate, warmup=warmup)
+
+
+def test_embed_minibatch_feeds_the_bit_only_in_adv_lan_sup(rng):
+    params = net.init_network(tiny_config(use_domain_bit=True), seed=14)
+    for n in params.extractor.names():
+        if n.endswith(".W"):
+            w = params.extractor.value(n).copy()
+            w[:, -1] = rng.normal(size=w.shape[0])
+            params.extractor.set_value(n, w)
+    batch = make_batch(rng, params)
+    ns = len(batch.source)
+    zeroed = Minibatch(batch.source,
+                       [BatchItem(it.utt_id, it.frames, it.label, 0)
+                        for it in batch.target])
+
+    def embed(b, mode):
+        return ad.evaluate(tr.embed_minibatch(params, b,
+                                              tiny_train_config(mode=mode)))
+
+    bit0 = embed(zeroed, "adv+lan+sup")
+    assert np.array_equal(embed(batch, "adv+sup")[ns:], bit0[ns:])
+    lan = embed(batch, "adv+lan+sup")
+    assert np.all(np.any(lan[ns:] != bit0[ns:], axis=1))
+
+
 def test_main_step_reduces_source_ce(rng):
     params = net.init_network(tiny_config(), seed=8)
     cfg = tiny_train_config(mode="sup")
     batch = make_batch(rng, params)
-    first = tr.main_step(params, batch, cfg, 0.5)["source_ce"]
+    first = embed_and_step(params, batch, cfg, 0.5)["source_ce"]
     for _ in range(8):
-        last = tr.main_step(params, batch, cfg, 0.5)["source_ce"]
+        last = embed_and_step(params, batch, cfg, 0.5)["source_ce"]
     assert last < first
 
 
@@ -318,9 +348,7 @@ def test_main_step_folds_batch_statistics_once(rng):
     batch = make_batch(rng, params)
     ext = params.extractor
     w, b = ext.value("tdnn0.W").copy(), ext.value("tdnn0.b").copy()
-    hs_node, ht_node = tr._domain_embedding_nodes(params, batch, False, True)
-    ad.evaluate(ad.concat([hs_node, ht_node], axis=0))
-    tr.main_step(params, batch, cfg, 0.1, hs_node=hs_node, ht_node=ht_node)
+    embed_and_step(params, batch, cfg, 0.1)
     spliced = np.concatenate([
         ad.evaluate(ad.splice(ad.const(it.frames),
                               params.config.tdnn_contexts[0]))
@@ -335,15 +363,16 @@ def test_main_step_leaves_critic_alone(rng):
     params = net.init_network(tiny_config(), seed=9)
     cfg = tiny_train_config(mode="adv+sup")
     critic0 = param_bytes(params.critic)
-    tr.main_step(params, make_batch(rng, params), cfg, 0.1)
+    embed_and_step(params, make_batch(rng, params), cfg, 0.1)
     assert param_bytes(params.critic) == critic0
 
 
 def test_main_step_warmup_skips_target_and_adversary(rng):
     params = net.init_network(tiny_config(), seed=10)
     cfg = tiny_train_config(mode="adv+sup")
-    stats = tr.main_step(params, make_batch(rng, params, labeled_target=False),
-                         cfg, 0.1, warmup=True)
+    stats = embed_and_step(params, make_batch(rng, params,
+                                              labeled_target=False),
+                           cfg, 0.1, warmup=True)
     assert stats["target_ce"] is None
     assert stats["l_wd_main"] is None
 
@@ -351,8 +380,9 @@ def test_main_step_warmup_skips_target_and_adversary(rng):
 def test_main_step_unsupervised_mode_needs_no_labels(rng):
     params = net.init_network(tiny_config(), seed=11)
     cfg = tiny_train_config(mode="adv")
-    stats = tr.main_step(params, make_batch(rng, params, labeled_target=False),
-                         cfg, 0.1)
+    stats = embed_and_step(params, make_batch(rng, params,
+                                              labeled_target=False),
+                           cfg, 0.1)
     assert stats["target_ce"] is None
     assert stats["l_wd_main"] is not None
 
@@ -361,8 +391,8 @@ def test_main_step_supervised_mode_requires_labels(rng):
     params = net.init_network(tiny_config(), seed=12)
     cfg = tiny_train_config(mode="adv+sup")
     with pytest.raises(ValueError, match="labels"):
-        tr.main_step(params, make_batch(rng, params, labeled_target=False),
-                     cfg, 0.1)
+        embed_and_step(params, make_batch(rng, params, labeled_target=False),
+                       cfg, 0.1)
 
 
 # ---------------------------------------------------------------------------
