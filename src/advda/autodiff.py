@@ -15,8 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 
+# added to each pooled variance before its square root
+STATS_POOL_VAR_FLOOR = 1e-10
+
+
 class GraphError(Exception):
     """Raised on malformed graphs, shape mismatches or non-finite values."""
+
+
+class NonFiniteError(GraphError):
+    """Raised when a node's value or an updated parameter is not finite."""
 
 
 def _as_f64(x) -> np.ndarray:
@@ -156,14 +164,13 @@ def _segment_counts(node: Node, x: np.ndarray) -> tuple:
     return counts
 
 
-def stats_pool(x: Node, var_floor: float = 1e-10, counts=None) -> Node:
+def stats_pool(x: Node, counts=None) -> Node:
     """(T, F) frames -> (n, 2F) mean and std over time of each segment.
 
     `counts` gives the frame counts of the n segments stacked in x's
     rows; None means one segment of all T rows.
     """
-    return Node("stats-pool", (x,), var_floor=float(var_floor),
-                counts=_counts(counts))
+    return Node("stats-pool", (x,), counts=_counts(counts))
 
 
 def splice(x: Node, offsets, counts=None) -> Node:
@@ -309,7 +316,7 @@ def _forward(node: Node) -> np.ndarray:
         for i, n in enumerate(counts):
             seg = x[start:start + n]
             out[i, :f] = seg.mean(axis=0)
-            out[i, f:] = np.sqrt(seg.var(axis=0) + node.attrs["var_floor"])
+            out[i, f:] = np.sqrt(seg.var(axis=0) + STATS_POOL_VAR_FLOOR)
             start += n
         node.cache = counts
         return out
@@ -548,7 +555,7 @@ def evaluate(root: Node, reset: bool = True) -> np.ndarray:
         if node.value is None:
             node.value = _forward(node)
             if not np.all(np.isfinite(node.value)):
-                raise GraphError(f"non-finite value in op {node.op!r}")
+                raise NonFiniteError(f"non-finite value in op {node.op!r}")
     return root.value
 
 
@@ -624,5 +631,8 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], rate: float,
         g = _as_f64(g)
         if g.shape != v.shape:
             raise GraphError(f"gradient shape mismatch for {name!r}")
-        params.set_value(name, v + sign * rate * g)
+        new = v + sign * rate * g
+        if not np.all(np.isfinite(new)):
+            raise NonFiniteError(f"non-finite value in parameter {name!r}")
+        params.set_value(name, new)
     return params

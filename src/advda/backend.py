@@ -178,14 +178,6 @@ def _diagonalize(model: PldaModel):
     return t, psi
 
 
-def plda_score(model: PldaModel, enroll: np.ndarray,
-               test: np.ndarray) -> float:
-    """Log-likelihood ratio same-class vs different-class for one pair."""
-    scorer = PldaScorer(model)
-    return float(scorer.score(np.asarray(enroll)[None, :],
-                              np.asarray(test)[None, :])[0])
-
-
 class PldaScorer:
     """Precomputed diagonalized model for fast batch scoring."""
 

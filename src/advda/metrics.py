@@ -116,9 +116,6 @@ class ScoreSet:
     def __len__(self):
         return len(self.enroll)
 
-    def __getitem__(self, key):
-        return float(self.values[self.index[key]])
-
     @classmethod
     def read(cls, path):
         (enroll, test, text), counts = _read_columns(path, "score")

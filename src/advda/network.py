@@ -264,7 +264,7 @@ def _widest_frame_array(config: NetworkConfig) -> int:
     return widest
 
 
-def extract_embeddings(params: NetworkParams, frames_seq, bits) -> np.ndarray:
+def extract_embedding(params: NetworkParams, frames_seq, bits) -> np.ndarray:
     """(n, d) embeddings of n utterances (inference-mode batch norm).
 
     The utterances are embedded a chunk at a time, in one graph per
@@ -302,12 +302,6 @@ def extract_embeddings(params: NetworkParams, frames_seq, bits) -> np.ndarray:
     if not out:
         return np.zeros((0, params.config.embed_dim))
     return np.concatenate(out)
-
-
-def extract_embedding(params: NetworkParams, frames: np.ndarray,
-                      bit: int = 0) -> np.ndarray:
-    """Embedding vector for one utterance (inference-mode batch norm)."""
-    return extract_embeddings(params, [frames], [bit])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,11 @@ class ExperimentConfig:
         return out
 
     def _check_across_sections(self, network, train_base, train_adapt):
-        """Constraints that tie one section's values to another's."""
+        """Constraints that tie values across sections or to one stage."""
+        # only adaptation has warm-up epochs
+        if 0 < train_adapt.epochs <= train_adapt.warmup_epochs:
+            raise ConfigError("train_adapt.warmup_epochs must be less than "
+                              "train_adapt.epochs")
         # LDA finds at most one direction fewer than there are classes
         for key, bound in (("network.embed_dim", network.embed_dim),
                            ("corpus.source_speakers-1",
@@ -170,10 +174,10 @@ def _sha256(path) -> str:
 def _stage(cfg: ExperimentConfig, name: str, inputs, outputs):
     """Run a stage's body: check its inputs exist, time it, and write the
     manifest for `outputs`.  A body that raises leaves no manifest."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for p in inputs:
         if not os.path.exists(p):
             raise FileNotFoundError(f"stage {name!r} input missing: {p}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.monotonic()
     yield
     manifest = {"wall_clock_s": time.monotonic() - t0,  # before hashing
@@ -187,6 +191,15 @@ def _stage(cfg: ExperimentConfig, name: str, inputs, outputs):
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _section(name: str):
+    """Name the config section in the errors of a training loop."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from e
 
 
 def _set_paths(cfg: ExperimentConfig, name: str):
@@ -292,7 +305,9 @@ def cmd_train_base(cfg: ExperimentConfig) -> str:
             "use_domain_bit": True})
         params = net.init_network(ncfg, seed=cfg.seed)
         tcfg = tr.TrainConfig(**{**cfg.train_base, "seed": cfg.seed})
-        params, log = tr.train_baseline(params, tcfg, src_feats, src_labels)
+        with _section("train_base"):
+            params, log = tr.train_baseline(params, tcfg, src_feats,
+                                            src_labels)
         net.save_checkpoint(out, params)
         tr.write_train_log(log_path, log)
     return out
@@ -323,8 +338,9 @@ def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
                                        seed=cfg.seed)
             else:
                 target_labels = tr.labels_from_manifest(tgt_records)
-        params, log = tr.train(params, tcfg, src_feats, src_labels,
-                               tgt_feats, target_labels)
+        with _section("train_adapt"):
+            params, log = tr.train(params, tcfg, src_feats, src_labels,
+                                   tgt_feats, target_labels)
         net.save_checkpoint(out, params)
         tr.write_train_log(log_path, log)
     return out
@@ -339,7 +355,7 @@ def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> dict:
         params = net.load_checkpoint(checkpoint)
         for paths, out in zip(sets, outputs):
             feats, records = _load_feats(*paths)
-            vecs = net.extract_embeddings(
+            vecs = net.extract_embedding(
                 params, [feats[r.utt_id] for r in records],
                 [0 if r.domain == "source" else 1 for r in records])
             cp.write_archive(out, {r.utt_id: vec[None, :].astype(np.float32)

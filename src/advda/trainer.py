@@ -10,6 +10,7 @@ schedule.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from typing import Literal, get_args
@@ -43,7 +44,7 @@ class TrainConfig:
     segment_frames: tuple[int, int] = at_least(1, default=(200, 400))
     epochs: int = at_least(0, default=85)
     minibatches_per_epoch: int = at_least(1, default=400)
-    warmup_epochs: int = at_least(0, default=3)
+    warmup_epochs: int = at_least(0, default=3)  # adaptation only
     halve_every: int = at_least(1, default=5)
     source_loss_weight: float = at_least(0, default=0.8)
     target_loss_weight: float = at_least(0, default=0.2)
@@ -54,8 +55,6 @@ class TrainConfig:
         lo, hi = self.segment_frames
         if hi < lo:
             raise ValueError(f"segment_frames must have lo <= hi, got {lo, hi}")
-        if self.epochs > 0 and self.warmup_epochs >= self.epochs:
-            raise ValueError("warmup_epochs must be less than epochs")
 
     @property
     def adversarial(self) -> bool:
@@ -150,17 +149,6 @@ def critic_gap_graph(params: NetworkParams, hs: ad.Node,
                   ad.mean(net.build_critic(params, ht)))
 
 
-def wasserstein_loss(params: NetworkParams, hs: np.ndarray,
-                     ht: np.ndarray) -> float:
-    """Mean critic output over source minus mean over target."""
-    hs = np.asarray(hs, dtype=np.float64)
-    ht = np.asarray(ht, dtype=np.float64)
-    if hs.shape[0] < 1 or ht.shape[0] < 1:
-        raise ValueError("wasserstein loss needs non-empty batches")
-    return float(ad.evaluate(critic_gap_graph(params, ad.const(hs),
-                                              ad.const(ht))))
-
-
 def sample_interpolates(hs: np.ndarray, ht: np.ndarray, rng) -> np.ndarray:
     """Random points on segments between shuffled source/target pairs."""
     hs = np.asarray(hs, dtype=np.float64)
@@ -173,21 +161,11 @@ def sample_interpolates(hs: np.ndarray, ht: np.ndarray, rng) -> np.ndarray:
     return eps * hs[si] + (1.0 - eps) * ht[ti]
 
 
-def gradient_penalty_graph(params: NetworkParams, hhat: ad.Node,
-                           n_rows: int) -> ad.Node:
+def gradient_penalty_graph(params: NetworkParams, hhat: ad.Node) -> ad.Node:
+    """Mean over rows of (||grad_h critic(h)||_2 - 1)^2."""
     grad = net.critic_input_gradient(params, hhat)
     norms = ad.sqrt(ad.sum_(ad.square(grad), axis=1))
-    diff = ad.sub(norms, ad.const(np.ones((n_rows, 1))))
-    return ad.mean(ad.square(diff))
-
-
-def gradient_penalty(params: NetworkParams, hhat: np.ndarray) -> float:
-    """Mean over rows of (||grad_h critic(h)||_2 - 1)^2."""
-    hhat = np.asarray(hhat, dtype=np.float64)
-    if hhat.ndim != 2 or hhat.shape[0] < 1:
-        raise ValueError("gradient penalty needs a non-empty (n, d) batch")
-    node = gradient_penalty_graph(params, ad.const(hhat), hhat.shape[0])
-    return float(ad.evaluate(node))
+    return ad.mean(ad.square(ad.sub(norms, ad.const(1.0))))
 
 
 def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
@@ -200,7 +178,7 @@ def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
     interp = sample_interpolates(hs, ht, rng)
     hhat = np.concatenate([hs, ht, interp], axis=0)
     l_wd = critic_gap_graph(params, ad.const(hs), ad.const(ht))
-    l_grad = gradient_penalty_graph(params, ad.const(hhat), hhat.shape[0])
+    l_grad = gradient_penalty_graph(params, ad.const(hhat))
     objective = ad.sub(l_wd, ad.scale(l_grad, cfg.gamma))
     ad.evaluate(objective)
     grads = ad.backward(objective, params.critic)
@@ -317,14 +295,28 @@ def pseudo_label_utterances(params: NetworkParams, feats: dict,
                             stop_threshold: float, bit: int = 1) -> dict:
     """Cluster current-model embeddings of a feature dict into labels."""
     uids = sorted(feats)
-    embs = net.extract_embeddings(params, [feats[u] for u in uids],
-                                  [bit] * len(uids))
+    embs = net.extract_embedding(params, [feats[u] for u in uids],
+                                 [bit] * len(uids))
     labels = pseudo_label(embs, stop_threshold)
     return {u: int(l) for u, l in zip(uids, labels)}
 
 
 # ---------------------------------------------------------------------------
 # driver
+
+
+@contextlib.contextmanager
+def _epoch(epoch: int, rates):
+    """Run one epoch's steps.  A graph error is re-raised as a ValueError
+    that names the epoch and, for a non-finite value, the `rates` to lower;
+    numpy's overflow warnings, which only announce that error, are off."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except ad.GraphError as e:
+        hint = (f"; try a lower {' or '.join(rates)}"
+                if isinstance(e, ad.NonFiniteError) else "")
+        raise ValueError(f"epoch {epoch}: {e}{hint}") from e
 
 
 def labels_from_manifest(records) -> dict:
@@ -370,25 +362,27 @@ def train(params: NetworkParams, cfg: TrainConfig,
                                cfg)
     _apply_scope(params, cfg)
     rng = np.random.default_rng(cfg.seed)
+    rates = ("rate_critic", "rate_main") if cfg.adversarial else ("rate_main",)
     log = []
     for epoch in range(cfg.epochs):
         rate1, rate2 = lr_schedule(epoch, cfg)
         warmup = epoch < cfg.warmup_epochs
         wd_vals, grad_vals, ce_s_vals, ce_t_vals = [], [], [], []
-        for _ in range(cfg.minibatches_per_epoch):
-            batch = sampler.sample(rng)
-            emb = embed_minibatch(params, batch, cfg)
-            h = ad.evaluate(emb)
-            hs, ht = h[:len(batch.source)], h[len(batch.source):]
-            if cfg.adversarial:
-                for _ in range(cfg.critic_steps):
-                    wd, gp = critic_step(params, hs, ht, cfg, rate1, rng)
-                wd_vals.append(wd)
-                grad_vals.append(gp)
-            stats = main_step(params, batch, emb, cfg, rate2, warmup=warmup)
-            ce_s_vals.append(stats["source_ce"])
-            if stats["target_ce"] is not None:
-                ce_t_vals.append(stats["target_ce"])
+        with _epoch(epoch, rates):
+            for _ in range(cfg.minibatches_per_epoch):
+                batch = sampler.sample(rng)
+                emb = embed_minibatch(params, batch, cfg)
+                h = ad.evaluate(emb)
+                hs, ht = h[:len(batch.source)], h[len(batch.source):]
+                if cfg.adversarial:
+                    for _ in range(cfg.critic_steps):
+                        wd, gp = critic_step(params, hs, ht, cfg, rate1, rng)
+                    wd_vals.append(wd)
+                    grad_vals.append(gp)
+                stats = main_step(params, batch, emb, cfg, rate2, warmup)
+                ce_s_vals.append(stats["source_ce"])
+                if stats["target_ce"] is not None:
+                    ce_t_vals.append(stats["target_ce"])
         record = {
             "epoch": epoch,
             "l_wd": float(np.mean(wd_vals)) if wd_vals else None,
@@ -417,14 +411,15 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         _, rate = lr_schedule(epoch, cfg)
         ce_vals = []
-        for _ in range(cfg.minibatches_per_epoch):
-            batch = sampler.sample(rng)
-            logp = net.build_classifier(params, embed_minibatch(
-                params, batch, cfg), "source", training=True)
-            loss = ad.cross_entropy(
-                logp, [it.label for it in batch.source], ls_norm)
-            _descend(params, loss, rate)
-            ce_vals.append(float(loss.value))
+        with _epoch(epoch, ("rate_main",)):
+            for _ in range(cfg.minibatches_per_epoch):
+                batch = sampler.sample(rng)
+                logp = net.build_classifier(params, embed_minibatch(
+                    params, batch, cfg), "source", training=True)
+                loss = ad.cross_entropy(
+                    logp, [it.label for it in batch.source], ls_norm)
+                _descend(params, loss, rate)
+                ce_vals.append(float(loss.value))
         log.append({"epoch": epoch, "l_wd": None, "l_grad": None,
                     "source_ce": float(np.mean(ce_vals)), "target_ce": None,
                     "rate_critic": None, "rate_main": rate})
@@ -435,8 +430,3 @@ def write_train_log(path, log) -> None:
     with open(path, "w") as f:
         for record in log:
             f.write(json.dumps(record) + "\n")
-
-
-def read_train_log(path):
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]

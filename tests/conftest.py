@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from advda import autodiff as ad
+from advda import backend as be
 from advda import network as net
+from advda import trainer as tr
 
 
 def fd_param_gradient(root, params, name, step=1e-5):
@@ -38,6 +42,35 @@ def critic_value(params, h):
     """Critic output for one embedding vector."""
     return float(ad.evaluate(net.build_critic(params,
                                               ad.const(h[None])))[0, 0])
+
+
+def critic_gap(params, hs, ht):
+    """`trainer.critic_gap_graph` on two arrays of embedding rows."""
+    return float(ad.evaluate(tr.critic_gap_graph(params, ad.const(hs),
+                                                 ad.const(ht))))
+
+
+def gradient_penalty(params, hhat):
+    """`trainer.gradient_penalty_graph` on an array of embedding rows."""
+    return float(ad.evaluate(tr.gradient_penalty_graph(params,
+                                                       ad.const(hhat))))
+
+
+def plda_llr(model, enroll, test):
+    """PLDA log-likelihood ratio of one enroll/test vector pair."""
+    return float(be.PldaScorer(model).score(np.asarray(enroll)[None],
+                                            np.asarray(test)[None])[0])
+
+
+def embed_one(params, frames, bit=0):
+    """Embedding vector of one utterance."""
+    return net.extract_embedding(params, [frames], [bit])[0]
+
+
+def read_train_log(path):
+    """Records of a `*.log.jsonl` training log."""
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
 
 
 @pytest.fixture

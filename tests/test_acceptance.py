@@ -24,7 +24,8 @@ from advda.backend import AdaptParams, PldaModel
 from advda.network import NetworkConfig
 from advda.trainer import TrainConfig
 
-from conftest import rel_err
+from conftest import (critic_gap, embed_one, gradient_penalty, plda_llr,
+                      read_train_log, rel_err)
 from test_backend import random_model, sample_from, _grid_gaussian_integral
 from test_metrics import brute_force_eer, brute_force_min_dcf
 from test_trainer import (tiny_config, tiny_train_config, set_linear_critic,
@@ -142,7 +143,7 @@ def test_criterion_1_gradient_correctness(rng):
 
         # gradient penalty: double-backward parameter gradients
         hhat = rng.normal(size=(4, params.config.embed_dim))
-        l_grad = tr.gradient_penalty_graph(params, ad.const(hhat), 4)
+        l_grad = tr.gradient_penalty_graph(params, ad.const(hhat))
         check_against_fd(l_grad, [params.critic], tol=1e-4)
 
 
@@ -157,12 +158,12 @@ def test_criterion_2_gradient_penalty_exactness(rng):
         v = rng.normal(size=8)
         set_linear_critic(params, v / np.linalg.norm(v))
         hhat = rng.normal(size=(10, 8))
-        assert tr.gradient_penalty(params, hhat) == pytest.approx(
+        assert gradient_penalty(params, hhat) == pytest.approx(
             0.0, abs=1e-12)
         for name in params.critic.names():
             params.critic.set_value(
                 name, np.zeros_like(params.critic.value(name)))
-        assert tr.gradient_penalty(params, hhat) == pytest.approx(
+        assert gradient_penalty(params, hhat) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -186,7 +187,7 @@ def test_criterion_3_wasserstein_sanity():
         step_rng = np.random.default_rng(0)
         for _ in range(2000):
             tr.critic_step(params, hs, ht, cfg, 0.01, step_rng)
-        estimate = tr.wasserstein_loss(params, hs, ht)
+        estimate = critic_gap(params, hs, ht)
         assert abs(estimate - 3.0) / 3.0 <= 0.15, estimate
 
 
@@ -218,7 +219,7 @@ def reference_experiment(seed):
     pl.cmd_train_base(cfg)
     baseline = pl.run_variant(cfg, mode=None)["eer_pct"]
     adv_sup = pl.run_variant(cfg, mode="adv+sup")["eer_pct"]
-    log = tr.read_train_log(cfg.path("adapt_adv_sup.log.jsonl"))
+    log = read_train_log(cfg.path("adapt_adv_sup.log.jsonl"))
     adv = pl.run_variant(cfg, mode="adv")["eer_pct"]
     warmup_l_wd = log[cfg.train_adapt["warmup_epochs"] - 1]["l_wd"]
     return baseline, adv_sup, adv, warmup_l_wd, log[-1]["l_wd"]
@@ -252,7 +253,7 @@ def test_criterion_5_plda_oracles(rng):
             oracle = (_grid_gaussian_integral(model, [e, t])
                       - _grid_gaussian_integral(model, [e])
                       - _grid_gaussian_integral(model, [t]))
-            assert abs(be.plda_score(model, e, t) - oracle) <= 1e-6
+            assert abs(plda_llr(model, e, t) - oracle) <= 1e-6
 
         true = random_model(rng, 10)
         vectors, labels, latents, noises = sample_from(
@@ -279,8 +280,8 @@ def test_criterion_5_plda_oracles(rng):
                 y2 = true.mu + np.linalg.cholesky(true.between) \
                     @ pair_rng.normal(size=10)
                 o = y2 + lw @ pair_rng.normal(size=10)
-                tgt.append(be.plda_score(model, e, t))
-                non.append(be.plda_score(model, e, o))
+                tgt.append(plda_llr(model, e, t))
+                non.append(plda_llr(model, e, o))
             return mx.eer_from_scores(np.asarray(tgt), np.asarray(non))
 
         assert abs(eer_of(fitted) - eer_of(true)) <= 1.0
@@ -407,8 +408,8 @@ def test_criterion_9_mode_scope_contracts(rng):
                 w[:, -1] = 0.0
                 p.extractor.set_value(n, w)
         frames = rng.normal(size=(12, 4))
-        e0 = net.extract_embedding(p, frames, bit=0)
-        e1 = net.extract_embedding(p, frames, bit=1)
+        e0 = embed_one(p, frames, bit=0)
+        e1 = embed_one(p, frames, bit=1)
         assert e0.tobytes() == e1.tobytes()
 
 

@@ -558,6 +558,18 @@ def test_sgd_shape_mismatch():
         ad.sgd_step(ps, {"p": np.array([1.0])}, 0.1)
 
 
+def test_non_finite_values_raise_their_own_error():
+    # the trainer tells a diverged value from a malformed graph by type
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ad.NonFiniteError, match="op 'sqrt'"):
+        ad.evaluate(ad.sqrt(ad.const(np.array([-1.0]))))
+    ps = ParamSet()
+    ps.add("p", np.array([1.0]))
+    with pytest.raises(ad.NonFiniteError, match="parameter 'p'"):
+        ad.sgd_step(ps, {"p": np.array([np.nan])}, 0.1)
+    np.testing.assert_array_equal(ps.value("p"), [1.0])
+
+
 def test_ascent_converges_on_concave_objective():
     # f(p) = -p^2, gradient -2p; ascent from 1.0 at rate 0.1 approaches 0
     ps = ParamSet()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from advda import metrics as mx
 from advda.backend import BackendTransform, PldaModel, PldaScorer, \
-    apply_transform, plda_score
+    apply_transform
 from advda.metrics import ScoreSet, TrialList
+from conftest import plda_llr
 
 
 def brute_force_rates(tgt, non, threshold):
@@ -319,10 +320,11 @@ def test_score_trials_composition_oracle(rng):
                         ("u4", "u5", True))
     scores = mx.score_trials(transform, model, embeddings, trials)
     for e, t in zip(trials.enroll, trials.test):
-        expected = plda_score(model,
-                              apply_transform(transform, embeddings[e]),
-                              apply_transform(transform, embeddings[t]))
-        assert scores[(e, t)] == pytest.approx(expected, abs=1e-9)
+        expected = plda_llr(model,
+                            apply_transform(transform, embeddings[e]),
+                            apply_transform(transform, embeddings[t]))
+        assert scores.values[scores.index[(e, t)]] == pytest.approx(
+            expected, abs=1e-9)
 
 
 def test_score_trials_bits_equal_per_trial_stacking(rng):

@@ -8,7 +8,7 @@ from advda import autodiff as ad
 from advda import container
 from advda import network as net
 from advda.network import NetworkConfig
-from conftest import critic_value
+from conftest import critic_value, embed_one
 
 
 def small_config(**kw):
@@ -98,8 +98,8 @@ def test_domain_bit_columns_zero_at_init():
         assert np.all(params.extractor.value(f"tdnn{i}.W")[:, -1] == 0.0)
     assert np.all(params.extractor.value("embed.W")[:, -1] == 0.0)
     frames = np.random.default_rng(0).normal(size=(9, cfg.frame_dim))
-    e0 = net.extract_embedding(params, frames, bit=0)
-    e1 = net.extract_embedding(params, frames, bit=1)
+    e0 = embed_one(params, frames, bit=0)
+    e1 = embed_one(params, frames, bit=1)
     np.testing.assert_array_equal(e0, e1)
 
 
@@ -110,14 +110,14 @@ def test_domain_bit_zero_matches_unconditioned():
     cfg = small_config(use_domain_bit=True)
     params = net.init_network(cfg, seed=3)
     frames = np.random.default_rng(1).normal(size=(8, cfg.frame_dim))
-    e0 = net.extract_embedding(params, frames, bit=0)
+    e0 = embed_one(params, frames, bit=0)
     w = params.extractor.value("tdnn0.W").copy()
     w[:, -1] = 123.0
     params.extractor.set_value("tdnn0.W", w)
     np.testing.assert_array_equal(
-        e0, net.extract_embedding(params, frames, bit=0))
+        e0, embed_one(params, frames, bit=0))
     assert not np.array_equal(
-        e0, net.extract_embedding(params, frames, bit=1))
+        e0, embed_one(params, frames, bit=1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_embedding_layer_by_layer_oracle(rng):
                              np.sqrt(x.var(axis=0) + 1e-10)])
     expected = ext.value("embed.W") @ pooled + ext.value("embed.b")
 
-    got = net.extract_embedding(params, frames)
+    got = embed_one(params, frames)
     np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
@@ -234,7 +234,7 @@ def test_embedding_is_batch_of_one(rng, domain_bit):
 def test_embedding_frame_dim_checked():
     params = net.init_network(small_config(), seed=0)
     with pytest.raises(ValueError, match="frames"):
-        net.extract_embedding(params, np.zeros((5, 9)))
+        embed_one(params, np.zeros((5, 9)))
 
 
 def test_embedding_permutation_invariance_without_context(rng):
@@ -242,8 +242,8 @@ def test_embedding_permutation_invariance_without_context(rng):
     params = net.init_network(cfg, seed=5)
     frames = rng.normal(size=(12, cfg.frame_dim))
     perm = rng.permutation(12)
-    e1 = net.extract_embedding(params, frames)
-    e2 = net.extract_embedding(params, frames[perm])
+    e1 = embed_one(params, frames)
+    e2 = embed_one(params, frames[perm])
     np.testing.assert_allclose(e1, e2, atol=1e-10)
 
 
@@ -292,8 +292,8 @@ def test_heads_share_embedding(rng):
     cfg = small_config()
     params = net.init_network(cfg, seed=4)
     frames = rng.normal(size=(9, cfg.frame_dim))
-    e1 = net.extract_embedding(params, frames)
-    e2 = net.extract_embedding(params, frames)
+    e1 = embed_one(params, frames)
+    e2 = embed_one(params, frames)
     np.testing.assert_array_equal(e1, e2)
 
 
@@ -546,7 +546,7 @@ def test_batched_extraction_matches_per_utterance(rng, monkeypatch,
     lengths = [7, 30, 12, 9, 25, 8, 40, 11]
     frames = utterances(rng, cfg, lengths)
     bits = [0, 1, 1, 0, 1, 0, 0, 1]
-    single = np.stack([net.extract_embedding(params, f, bit=b)
+    single = np.stack([embed_one(params, f, bit=b)
                        for f, b in zip(frames, bits)])
 
     built = []
@@ -561,7 +561,7 @@ def test_batched_extraction_matches_per_utterance(rng, monkeypatch,
     for rows in (1, 40, 10**6):
         built.clear()
         monkeypatch.setattr(net, "EXTRACT_CHUNK_BYTES", 8 * widest * rows)
-        batched = net.extract_embeddings(params, frames, bits)
+        batched = net.extract_embedding(params, frames, bits)
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-12)
         assert [n for chunk in built for n in chunk] == lengths
         assert all(sum(c) <= rows or len(c) == 1 for c in built)
@@ -572,8 +572,8 @@ def test_batched_extraction_checks_inputs(rng):
     cfg = small_config()
     params = net.init_network(cfg, seed=0)
     with pytest.raises(ValueError, match="frames"):
-        net.extract_embeddings(params, [np.zeros((5, cfg.frame_dim)),
-                                        np.zeros((5, 9))], [0, 0])
+        net.extract_embedding(params, [np.zeros((5, cfg.frame_dim)),
+                                       np.zeros((5, 9))], [0, 0])
     with pytest.raises(ValueError, match="bits"):
-        net.extract_embeddings(params, [np.zeros((5, cfg.frame_dim))],
-                               [0, 1])
+        net.extract_embedding(params, [np.zeros((5, cfg.frame_dim))],
+                              [0, 1])

@@ -518,6 +518,45 @@ def test_cli_stage_error_is_one_line(tmp_path):
     assert not list(out.glob("*.manifest.json"))
 
 
+def test_cli_missing_input_leaves_no_run_directory(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "new"
+    result = CliRunner().invoke(cli.main, ["backend-adapt", "--config",
+                                           str(path), "--out", str(out),
+                                           "--tag", "x"])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: stage 'backend_adapt_x' input "
+                             f"missing: {out / 'backend_x.advb'}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, before, argv, manifest, error", [
+    ("train_base", "rate_main", ["synth"], ["train-base"], "train_base",
+     "train_base: epoch 0: non-finite value in op 'affine'; try a lower "
+     "rate_main"),
+    # the adversarial term enters the descent only after warm-up epoch 0
+    ("train_adapt", "delta", ["synth", "train-base"], ["adapt", "--mode",
+                                                       "adv"], "adapt_adv",
+     "train_adapt: epoch 1: non-finite value in op 'affine'; try a lower "
+     "rate_critic or rate_main"),
+])
+def test_cli_diverging_training_is_one_error_line(tmp_path, section, key,
+                                                  before, argv, manifest,
+                                                  error):
+    data = desk_config_dict(tmp_path / "run")
+    data[section][key] = 1e300
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    runner = CliRunner()
+    for stage in before:
+        assert runner.invoke(cli.main, [stage, "--config",
+                                        str(path)]).exit_code == 0
+    result = runner.invoke(cli.main, [*argv, "--config", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {error}\n"
+    assert not (tmp_path / "run" / f"{manifest}.manifest.json").exists()
+
+
 def test_cli_full_pipeline(tmp_path):
     path = write_config(tmp_path)
     out = str(tmp_path / "run")

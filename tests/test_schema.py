@@ -59,11 +59,23 @@ def test_lists_become_tuples_and_numbers_stay_as_given():
      r"segment_frames must be at least 1, got segment_frames\[1\]=0"),
     ({"segment_frames": [12, 8]},
      r"segment_frames must have lo <= hi, got \(12, 8\)"),
-    ({"epochs": 2, "warmup_epochs": 2}, "warmup_epochs must be less than"),
 ])
 def test_train_config_messages_name_the_key(kwargs, match):
     with pytest.raises(ValueError, match=match):
         tr.TrainConfig(**kwargs)
+
+
+def test_warmup_bound_names_the_adaptation_key():
+    with pytest.raises(pl.ConfigError, match=r"^train_adapt\.warmup_epochs "
+                       r"must be less than train_adapt\.epochs$"):
+        pl.ExperimentConfig.from_dict(
+            {"train_adapt": {"epochs": 2, "warmup_epochs": 2}})
+
+
+def test_warmup_bound_skips_the_baseline():
+    # baseline training has no warm-up, so the default 3 is not read
+    cfg = pl.ExperimentConfig.from_dict({"train_base": {"epochs": 2}})
+    assert cfg.train_base == {"epochs": 2}
 
 
 @pytest.mark.parametrize("kwargs, match", [
