@@ -173,14 +173,18 @@ def stats_pool(x: Node, counts=None) -> Node:
     return Node("stats-pool", (x,), counts=_counts(counts))
 
 
-def splice(x: Node, offsets, counts=None) -> Node:
+def splice(x: Node, offsets, counts=None, column: Node | None = None) -> Node:
     """Temporal context splicing, clamped at the edges of each segment.
 
     Row t of the output concatenates rows t+o of x for each offset o,
     each clamped to the first and last row of t's segment.  `counts`
-    gives the segment frame counts as for `stats_pool`.
+    gives the segment frame counts as for `stats_pool`.  A constant
+    (T, c) `column` is appended to the output without a concat's copy.
     """
-    return Node("splice", (x,), offsets=tuple(int(o) for o in offsets),
+    if column is not None and column.op != "constant":
+        raise GraphError("splice column must be a constant")
+    return Node("splice", (x,) if column is None else (x, column),
+                offsets=tuple(int(o) for o in offsets),
                 counts=_counts(counts))
 
 
@@ -335,7 +339,14 @@ def _forward(node: Node) -> np.ndarray:
         idx = np.clip(np.arange(x.shape[0])[:, None] + offsets,
                       starts[:, None], ends[:, None])
         node.cache = idx
-        return x[idx].reshape(x.shape[0], -1)
+        col = p[1].value if len(p) > 1 else np.empty((len(x), 0))
+        if col.ndim != 2 or len(col) != len(x):
+            raise GraphError(f"splice column {col.shape} for {len(x)} rows")
+        width = idx.shape[1] * x.shape[1]
+        out = np.empty((len(x), width + col.shape[1]))
+        out[:, :width].reshape(idx.shape + x.shape[1:])[...] = x[idx]
+        out[:, width:] = col
+        return out
     if op == "slice-rows":
         return p[0].value[node.attrs["start"]:node.attrs["stop"]]
     if op == "mean":
@@ -382,8 +393,12 @@ def _accum(node: Node, g: np.ndarray) -> None:
     if not node.live:
         return
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        if g.shape != node.value.shape:
+            raise GraphError(f"gradient {g.shape} for a value "
+                             f"{node.value.shape}")
+        node.grad = g + 0.0  # a copy: `add` passes one g to both parents
+    else:
+        node.grad += g
 
 
 def _scatter_rows(dx: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
@@ -567,7 +582,8 @@ def backward(root: Node, params):
     returned in the same order; one traversal serves them all.  Requires
     a prior `evaluate` of the same graph.  Only nodes that lead to a
     reported parameter are differentiated: inputs, and parameters of
-    other ParamSets or frozen ones, get no gradient.
+    other ParamSets or frozen ones, get no gradient.  Other gradients
+    are freed once passed on: afterwards only parameter nodes hold one.
     """
     sets = [params] if isinstance(params, ParamSet) else list(params)
     if root.value is None:
@@ -591,12 +607,13 @@ def backward(root: Node, params):
     for node in reversed(order):
         if node.grad is not None:
             _backward_node(node)
+            if node.op != "param":
+                node.grad = None
     out = []
     for ps in sets:
         grads = {n: np.zeros_like(ps.value(n)) for n in ps.trainable_names()}
-        for node in order:
-            if node.op == "param" and node.attrs["params"] is ps \
-                    and node.grad is not None:
+        for node in order:  # only param nodes still hold a gradient
+            if node.grad is not None and node.attrs["params"] is ps:
                 grads[node.attrs["name"]] += node.grad
         out.append(grads)
     return out[0] if isinstance(params, ParamSet) else out

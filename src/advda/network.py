@@ -7,7 +7,8 @@ output is the embedding.  Two classifier heads (source and target
 speakers) continue from the embedding; a small leaky-relu critic maps
 embeddings to a scalar, differentiated by `critic_input_gradient` for
 the gradient penalty.  An optional binary domain flag can be appended
-to the input of every extractor affine layer as a domain-dependent bias.
+to the input of every extractor affine layer as a domain-dependent bias
+(at the frame level, splice writes the bit column into its own output).
 """
 
 from __future__ import annotations
@@ -175,9 +176,8 @@ def build_embedding_batch(params: NetworkParams, frames: Node, counts, bits,
 
     x = frames
     for i, ctx in enumerate(cfg.tdnn_contexts):
-        x = ad.splice(x, ctx, counts)
-        if cfg.use_domain_bit:
-            x = ad.concat([x, frame_bits], axis=1)
+        x = ad.splice(x, ctx, counts,
+                      frame_bits if cfg.use_domain_bit else None)
         x = ad.affine(x, ad.param(ext, f"tdnn{i}.W"),
                       ad.param(ext, f"tdnn{i}.b"))
         x = ad.relu(x)

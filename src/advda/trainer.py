@@ -306,15 +306,16 @@ def pseudo_label_utterances(params: NetworkParams, feats: dict,
 
 
 @contextlib.contextmanager
-def _epoch(epoch: int, rates):
+def _epoch(epoch: int, keys):
     """Run one epoch's steps.  A graph error is re-raised as a ValueError
-    that names the epoch and, for a non-finite value, the `rates` to lower;
-    numpy's overflow warnings, which only announce that error, are off."""
+    that names the epoch and, for a non-finite value, the config `keys` to
+    lower; numpy's overflow warnings, which only announce it, are off."""
     try:
         with np.errstate(all="ignore"):
             yield
     except ad.GraphError as e:
-        hint = (f"; try a lower {' or '.join(rates)}"
+        names = " or ".join(filter(None, (", ".join(keys[:-1]), keys[-1])))
+        hint = (f"; try a lower {names}"
                 if isinstance(e, ad.NonFiniteError) else "")
         raise ValueError(f"epoch {epoch}: {e}{hint}") from e
 
@@ -362,13 +363,15 @@ def train(params: NetworkParams, cfg: TrainConfig,
                                cfg)
     _apply_scope(params, cfg)
     rng = np.random.default_rng(cfg.seed)
-    rates = ("rate_critic", "rate_main") if cfg.adversarial else ("rate_main",)
     log = []
     for epoch in range(cfg.epochs):
         rate1, rate2 = lr_schedule(epoch, cfg)
         warmup = epoch < cfg.warmup_epochs
+        # the rates, and the weights of the terms this epoch's steps take
+        keys = ("rate_critic", "rate_main", "gamma", "delta")[
+            :3 if warmup else 4] if cfg.adversarial else ("rate_main",)
         wd_vals, grad_vals, ce_s_vals, ce_t_vals = [], [], [], []
-        with _epoch(epoch, rates):
+        with _epoch(epoch, keys):
             for _ in range(cfg.minibatches_per_epoch):
                 batch = sampler.sample(rng)
                 emb = embed_minibatch(params, batch, cfg)

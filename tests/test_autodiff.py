@@ -74,6 +74,11 @@ def test_shape_mismatch_raises(rng):
                      ad.param(ps, "w"), ad.param(ps, "b"))
     with pytest.raises(GraphError, match="shape mismatch"):
         ad.evaluate(node)
+    # a gradient must have its node's shape, not one that broadcasts to it
+    root = ad.sum_(ad.add(ad.param(ps, "b"), ad.const(np.ones((2, 3)))))
+    ad.evaluate(root)
+    with pytest.raises(GraphError, match=r"gradient \(2, 3\) for a value"):
+        ad.backward(root, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,52 @@ def test_fd_segmented_splice(rng):
     weights = rng.normal(size=(sum(counts), 9))
     spliced = ad.splice(ad.param(ps, "x"), (-2, 0, 2), counts)
     _check_grads(ad.mean(ad.square(ad.mul(spliced, ad.const(weights)))), ps)
+
+
+def test_fd_segmented_splice_with_column(rng):
+    counts = (3, 6, 4, 5)
+    ps = _params_with(rng, x=(sum(counts), 3))
+    column = ad.const(rng.normal(size=(sum(counts), 2)))
+    weights = rng.normal(size=(sum(counts), 11))
+    spliced = ad.splice(ad.param(ps, "x"), (-2, 0, 2), counts, column)
+    _check_grads(ad.mean(ad.square(ad.mul(spliced, ad.const(weights)))), ps)
+
+
+@pytest.mark.parametrize("offsets", [(0,), (-2, 0, 2)])
+def test_splice_column_is_concat_without_copy(rng, offsets):
+    # the same bytes forward, and under an affine layer the same input
+    # and weight gradients, as concatenating the column after splicing
+    counts = (4, 7, 5)
+    k = len(offsets)
+    ps = _params_with(rng, x=(sum(counts), 3), w=(4, 3 * k + 2), b=(4,))
+    column = ad.const(rng.normal(size=(sum(counts), 2)))
+    results = []
+    for written in (True, False):
+        x = ad.param(ps, "x")
+        if written:
+            spliced = ad.splice(x, offsets, counts, column)
+        else:
+            spliced = ad.concat([ad.splice(x, offsets, counts), column],
+                                axis=1)
+        out = ad.affine(spliced, ad.param(ps, "w"), ad.param(ps, "b"))
+        root = ad.mean(ad.square(out))
+        ad.evaluate(root)
+        assert spliced.value.flags.c_contiguous
+        results.append((spliced.value, out.value, ad.backward(root, ps)))
+    (s1, o1, g1), (s2, o2, g2) = results
+    assert s1.tobytes() == s2.tobytes() and o1.tobytes() == o2.tobytes()
+    for name in ("x", "w", "b"):
+        assert g1[name].tobytes() == g2[name].tobytes(), name
+
+
+def test_splice_column_checked(rng):
+    ps = _params_with(rng, x=(5, 2), c=(5, 1))
+    with pytest.raises(GraphError, match="constant"):
+        ad.splice(ad.param(ps, "x"), (0,), column=ad.param(ps, "c"))
+    short = ad.splice(ad.param(ps, "x"), (0,),
+                      column=ad.const(np.ones((4, 1))))
+    with pytest.raises(GraphError, match="for 5 rows"):
+        ad.evaluate(short)
 
 
 def test_segmented_splice_clamps_within_segments(rng):
@@ -331,17 +382,70 @@ def test_backward_several_sets_in_one_pass(rng):
     assert set(both[1]) == {"w"}  # frozen "b" is not reported
 
 
-def test_backward_skips_nodes_without_parameters(rng):
+def test_backward_skips_nodes_without_parameters(rng, monkeypatch):
     ps = _params_with(rng, w=(2, 6), b=(2,))
     x = ad.const(rng.normal(size=(5, 3)))
     spliced = ad.splice(x, (-1, 1))
     root = ad.mean(ad.affine(spliced, ad.param(ps, "w"), ad.param(ps, "b")))
     ad.evaluate(root)
+    differentiated = []
+    backward_node = ad._backward_node
+    monkeypatch.setattr(ad, "_backward_node", lambda node: (
+        differentiated.append(node), backward_node(node)))
     ad.backward(root, ps)
-    assert x.grad is None and spliced.grad is None
+    # every node but these two is differentiated; these two never are
+    assert not x.live and not spliced.live
+    assert root in differentiated
+    assert not any(n is x or n is spliced for n in differentiated)
     # a set the root does not depend on gets zero gradients
     unused = ad.backward(root, _params_with(rng, v=(1,)))
     assert list(unused) == ["v"] and not unused["v"].any()
+
+
+def test_backward_keeps_only_parameter_gradients(rng):
+    # a graph of most ops, two sets of parameters and a shared subterm;
+    # afterwards no other node holds a gradient, and the returned ones
+    # still match finite differences
+    a = _params_with(rng, w=(4, 7), b=(4,), gamma=(4,), beta=(4,))
+    b = _params_with(rng, v=(8, 3))
+    counts = (3, 4, 5)
+    state = ParamSet()
+    state.add("rm", np.zeros(4), trainable=False)
+    state.add("rv", np.ones(4), trainable=False)
+    x = ad.const(rng.normal(size=(sum(counts), 2)))
+    bits = ad.const(rng.integers(0, 2, size=(sum(counts), 1)))
+    h = ad.affine(ad.splice(x, (-1, 0, 1), counts, bits), ad.param(a, "w"),
+                  ad.param(a, "b"))
+    h = ad.batch_norm(ad.relu(h), ad.param(a, "gamma"), ad.param(a, "beta"),
+                      state, "rm", "rv", training=True)
+    pooled = ad.stats_pool(h, counts)
+    z = ad.matmul(pooled, ad.param(b, "v"))
+    shared = ad.square(ad.slice_rows(z, 0, 2))
+    root = ad.add(ad.mean(ad.add(shared, ad.scale(shared, 0.5))),
+                  ad.sum_(ad.sqrt(ad.sum_(shared, axis=1))))
+    for ps in (a, b):
+        _check_grads(root, ps)
+    ad.evaluate(root)
+    ad.backward(root, [a, b])
+    order = ad._topo_order(root)
+    assert not [n.op for n in order if n.op != "param" and n.grad is not None]
+    assert all(n.grad is not None for n in order if n.op == "param")
+
+
+def test_add_gives_each_parent_its_own_gradient(rng):
+    # `add` passes one array to both parents.  Stored uncopied, the outer
+    # add's array would be the gradient of both `u` and `inner`, and
+    # `inner` adding into `u` would double what reaches the square
+    ps = _params_with(rng, x=(3, 2))
+    x = ad.param(ps, "x")
+    u = ad.scale(x, 2.0)
+    inner = ad.add(u, ad.square(x))
+    root = ad.sum_(ad.add(u, inner))
+    ad.evaluate(root)
+    xv = ps.value("x")
+    np.testing.assert_array_equal(ad.backward(root, ps)["x"],
+                                  2.0 + 2.0 + 2.0 * xv)
+    _check_grads(root, ps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -528,6 +529,60 @@ def test_segmented_graph_is_small():
     assert "slice-rows" not in ops
     assert ops.count("splice") == 3 and ops.count("stats-pool") == 1
     assert len(ops) < 40
+
+
+def test_domain_bit_column_is_written_by_splice():
+    # each splice writes the frame rows' bit column itself; the one
+    # concat left appends the pooled rows' bits
+    params = net.init_network(small_config(use_domain_bit=True), seed=0)
+    counts = [6, 7]
+    emb = net.build_embedding_batch(
+        params, ad.const(np.zeros((sum(counts), 4))), counts, [0, 1],
+        training=True)
+    ad.evaluate(emb)
+    order = ad._topo_order(emb)
+    assert [n.value.shape for n in order if n.op == "concat"] == [(2, 17)]
+    splices = [n for n in order if n.op == "splice"]
+    assert len(splices) == 3
+    for n in splices:
+        assert n.parents[1].op == "constant"
+        np.testing.assert_array_equal(n.value[:, -1], np.repeat([0, 1],
+                                                                counts))
+
+
+def test_backward_peak_memory_of_a_wide_domain_bit_step(rng):
+    # one training step of a wide five-layer domain-bit extractor and the
+    # classifier; tracemalloc's counts repeat exactly for fixed shapes.
+    # Gradients are freed once passed on and no layer copies its input
+    # to append the bit column, so backward allocates only a few of the
+    # widest frame-level arrays above the forward values: 4.7 measured,
+    # against 11.9 when every gradient lived until backward returned
+    cfg = NetworkConfig(
+        frame_dim=30, tdnn_widths=(128, 128, 128, 128, 256),
+        tdnn_contexts=((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,)),
+        embed_dim=64, post_pool_widths=(64, 64), critic_widths=(64, 64),
+        use_domain_bit=True)
+    params = net.init_network(cfg, seed=3)
+    counts = [200] * 10
+    emb = net.build_embedding_batch(
+        params, ad.const(rng.normal(size=(sum(counts), cfg.frame_dim))),
+        counts, [0, 1] * 5, training=True)
+    loss = ad.cross_entropy(net.build_classifier(params, emb, "source",
+                                                 training=True),
+                            rng.integers(0, 10, size=10), np.log(10))
+    tracemalloc.start()
+    try:
+        ad.evaluate(loss)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss, [params.heads, params.extractor])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widest = max(n.value.nbytes for n in ad._topo_order(loss)
+                 if n.value.shape[:1] == (sum(counts),))
+    assert widest == sum(counts) * (3 * 128 + 1) * 8  # a layer's splice
+    assert peak - held <= 6 * widest
 
 
 def utterances(rng, cfg, lengths):

@@ -534,11 +534,17 @@ def test_cli_missing_input_leaves_no_run_directory(tmp_path):
     ("train_base", "rate_main", ["synth"], ["train-base"], "train_base",
      "train_base: epoch 0: non-finite value in op 'affine'; try a lower "
      "rate_main"),
-    # the adversarial term enters the descent only after warm-up epoch 0
+    # the adversarial term, weighted by delta, enters the descent only
+    # after warm-up epoch 0; the critic steps, weighted by gamma, run from
+    # the start
     ("train_adapt", "delta", ["synth", "train-base"], ["adapt", "--mode",
                                                        "adv"], "adapt_adv",
      "train_adapt: epoch 1: non-finite value in op 'affine'; try a lower "
-     "rate_critic or rate_main"),
+     "rate_critic, rate_main, gamma or delta"),
+    ("train_adapt", "gamma", ["synth", "train-base"], ["adapt", "--mode",
+                                                       "adv"], "adapt_adv",
+     "train_adapt: epoch 0: non-finite value in op 'affine'; try a lower "
+     "rate_critic, rate_main or gamma"),
 ])
 def test_cli_diverging_training_is_one_error_line(tmp_path, section, key,
                                                   before, argv, manifest,
