@@ -208,10 +208,6 @@ def sqrt(x: Node) -> Node:
     return Node("sqrt", (x,))
 
 
-def l2_norm(x: Node) -> Node:
-    return Node("l2-norm", (x,))
-
-
 def log_softmax(x: Node) -> Node:
     return Node("log-softmax", (x,))
 
@@ -363,8 +359,6 @@ def _forward(node: Node) -> np.ndarray:
         # check rather than as a numpy warning
         with np.errstate(invalid="ignore"):
             return np.sqrt(p[0].value)
-    if op == "l2-norm":
-        return np.asarray(np.sqrt((p[0].value ** 2).sum()))
     if op == "log-softmax":
         x = p[0].value
         z = x - x.max(axis=1, keepdims=True)
@@ -508,9 +502,6 @@ def _backward_node(node: Node) -> None:
         return
     if op == "sqrt":
         _accum(p[0], 0.5 * g / node.value)
-        return
-    if op == "l2-norm":
-        _accum(p[0], g * p[0].value / node.value)
         return
     if op == "log-softmax":
         sm = np.exp(node.value)

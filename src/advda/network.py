@@ -4,11 +4,12 @@ The extractor maps a (T, m) frame matrix to a d-dimensional utterance
 embedding: five context-spliced affine+relu+batchnorm layers, a
 mean/std pooling layer, then one affine layer whose pre-activation
 output is the embedding.  Two classifier heads (source and target
-speakers) continue from the embedding; a small leaky-relu critic maps
-embeddings to a scalar, differentiated by `critic_input_gradient` for
-the gradient penalty.  An optional binary domain flag can be appended
-to the input of every extractor affine layer as a domain-dependent bias
-(at the frame level, splice writes the bit column into its own output).
+speakers) continue from the embedding; a leaky-relu critic with one
+hidden layer per `critic_widths` entry maps embeddings to a scalar, and
+`critic_input_gradient` differentiates it for the gradient penalty.  An
+optional binary domain flag can be appended to the input of every
+extractor affine layer as a domain-dependent bias (at the frame level,
+splice writes the bit column into its own output).
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ class NetworkConfig:
     n_source_classes: int = at_least(1, default=10)
     n_target_classes: int = at_least(1, default=10)
     use_domain_bit: bool = False
-    # two hidden layers: `critic_input_gradient` is written for exactly two
-    critic_widths: tuple[int, int] = at_least(1, default=(64, 64))
+    critic_widths: tuple[int, ...] = at_least(1, default=(64, 64))
     leaky_slope: float = 0.2
     bn_momentum: float = within(0, 1, default=0.95)
     bn_eps: float = at_least(0, default=1e-5)
@@ -225,33 +225,33 @@ def build_classifier(params: NetworkParams, h: Node, head: str,
         params, classifier_trunk(params, h, training), head))
 
 
-def _critic_hidden(params: NetworkParams, h: Node):
-    """Pre-activations z0, z1 of the critic's two hidden layers."""
+def _critic_layers(params: NetworkParams, h: Node) -> list[Node]:
+    """Pre-activations of the critic's affine layers, the output last."""
     cr = params.critic
-    z0 = ad.affine(h, ad.param(cr, "W0"), ad.param(cr, "b0"))
-    z1 = ad.affine(ad.leaky_relu(z0, params.config.leaky_slope),
-                   ad.param(cr, "W1"), ad.param(cr, "b1"))
-    return z0, z1
+    zs = []
+    for i in range(len(params.config.critic_widths) + 1):
+        x = h if i == 0 else ad.leaky_relu(zs[-1], params.config.leaky_slope)
+        zs.append(ad.affine(x, ad.param(cr, f"W{i}"), ad.param(cr, f"b{i}")))
+    return zs
 
 
 def build_critic(params: NetworkParams, h: Node) -> Node:
     """Critic graph from embeddings (n, d) to per-row scalars (n, 1)."""
-    _, z1 = _critic_hidden(params, h)
-    return ad.affine(ad.leaky_relu(z1, params.config.leaky_slope),
-                     ad.param(params.critic, "W2"),
-                     ad.param(params.critic, "b2"))
+    return _critic_layers(params, h)[-1]
 
 
 def critic_input_gradient(params: NetworkParams, h: Node) -> Node:
-    """Rows W0' D0 W1' D1 W2' of d critic / d h, D0 and D1 the leaky-relu
-    masks; these pass no gradient, so the penalty gives biases none."""
+    """Rows of d critic / d h: the output weights carried back through
+    each hidden layer i by its leaky-relu mask Di, then its weights Wi.
+    Masks pass no gradient, so the penalty gives biases none."""
     cr = params.critic
     slope = params.config.leaky_slope
-    z0, z1 = _critic_hidden(params, h)
-    u = ad.mul(ad.leaky_relu_mask(z1, slope), ad.param(cr, "W2"))
-    v = ad.mul(ad.matmul(u, ad.param(cr, "W1")),
-               ad.leaky_relu_mask(z0, slope))
-    return ad.matmul(v, ad.param(cr, "W0"))
+    zs = _critic_layers(params, h)
+    g = ad.param(cr, f"W{len(zs) - 1}")
+    for i in reversed(range(len(zs) - 1)):
+        g = ad.matmul(ad.mul(ad.leaky_relu_mask(zs[i], slope), g),
+                      ad.param(cr, f"W{i}"))
+    return g
 
 
 def _widest_frame_array(config: NetworkConfig) -> int:

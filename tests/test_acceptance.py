@@ -105,7 +105,7 @@ def test_criterion_1_gradient_correctness(rng):
         pieces = [
             ad.mean(ad.sqrt(ad.square(pooled))),
             ad.scale(ad.sum_(pooled), 0.3),
-            ad.l2_norm(pooled),
+            ad.sqrt(ad.sum_(ad.square(pooled))),
             ad.cross_entropy(ad.log_softmax(h), [0, 2, 1, 0, 2, 1],
                              np.log(3.0)),
         ]
@@ -141,10 +141,14 @@ def test_criterion_1_gradient_correctness(rng):
                       ad.mean(net.build_critic(params, ht_node)))
         check_against_fd(l_wd, [params.extractor, params.critic], tol=1e-5)
 
-        # gradient penalty: double-backward parameter gradients
+        # gradient penalty: double-backward parameter gradients, of the
+        # two-layer critic above and of a three-layer one
         hhat = rng.normal(size=(4, params.config.embed_dim))
-        l_grad = tr.gradient_penalty_graph(params, ad.const(hhat))
-        check_against_fd(l_grad, [params.critic], tol=1e-4)
+        deep = net.init_network(tiny_config(critic_widths=(8, 6, 5)),
+                                seed=21)
+        for p in (params, deep):
+            l_grad = tr.gradient_penalty_graph(p, ad.const(hhat))
+            check_against_fd(l_grad, [p.critic], tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +157,19 @@ def test_criterion_1_gradient_correctness(rng):
 
 def test_criterion_2_gradient_penalty_exactness(rng):
     with criterion("2 (gradient penalty closed forms)"):
-        params = net.init_network(tiny_config(critic_widths=(16, 16)),
-                                  seed=22)
         v = rng.normal(size=8)
-        set_linear_critic(params, v / np.linalg.norm(v))
         hhat = rng.normal(size=(10, 8))
-        assert gradient_penalty(params, hhat) == pytest.approx(
-            0.0, abs=1e-12)
-        for name in params.critic.names():
-            params.critic.set_value(
-                name, np.zeros_like(params.critic.value(name)))
-        assert gradient_penalty(params, hhat) == pytest.approx(
-            1.0, abs=1e-12)
+        for depth in (1, 2, 3):
+            params = net.init_network(
+                tiny_config(critic_widths=(16,) * depth), seed=22)
+            set_linear_critic(params, v / np.linalg.norm(v))
+            assert gradient_penalty(params, hhat) == pytest.approx(
+                0.0, abs=1e-12), depth
+            for name in params.critic.names():
+                params.critic.set_value(
+                    name, np.zeros_like(params.critic.value(name)))
+            assert gradient_penalty(params, hhat) == pytest.approx(
+                1.0, abs=1e-12), depth
 
 
 # ---------------------------------------------------------------------------

@@ -93,15 +93,6 @@ def test_backward_sum_is_ones(rng):
     np.testing.assert_array_equal(grads["x"], np.ones((3, 4)))
 
 
-def test_backward_l2_norm_closed_form():
-    ps = ParamSet()
-    ps.add("x", np.array([3.0, 4.0]))
-    root = ad.l2_norm(ad.param(ps, "x"))
-    ad.evaluate(root)
-    grads = ad.backward(root, ps)
-    np.testing.assert_allclose(grads["x"], [0.6, 0.8], rtol=1e-12)
-
-
 def test_backward_requires_scalar_root(rng):
     ps = _params_with(rng, x=(2, 2))
     root = ad.square(ad.param(ps, "x"))
@@ -340,12 +331,6 @@ def test_fd_sqrt_sum_scale_slice(rng):
     _check_grads(root, ps)
 
 
-def test_fd_l2_norm(rng):
-    ps = _params_with(rng, x=(6,))
-    root = ad.l2_norm(ad.param(ps, "x"))
-    _check_grads(root, ps)
-
-
 def test_fd_overlapping_slices(rng):
     ps = _params_with(rng, x=(6, 3))
     x = ad.param(ps, "x")
@@ -545,33 +530,41 @@ def test_running_stats_update_needs_training_graph_evaluated():
 # critic input gradient
 
 
-def _critic(rng, d=5, u0=6, u1=4):
+# hidden widths of the critics checked: depth 2 (first, so it draws what
+# the two-layer check always drew), then depths 1 and 3
+CRITIC_WIDTHS = [(6, 4), (6,), (6, 4, 5)]
+
+
+def _critic(rng, widths, d=5):
     ps = ParamSet()
-    ps.add("W0", rng.uniform(-1, 1, size=(u0, d)))
-    ps.add("b0", rng.uniform(-1, 1, size=u0))
-    ps.add("W1", rng.uniform(-1, 1, size=(u1, u0)))
-    ps.add("b1", rng.uniform(-1, 1, size=u1))
-    ps.add("W2", rng.uniform(-1, 1, size=(1, u1)))
-    ps.add("b2", rng.uniform(-1, 1, size=1))
+    dims = [d, *widths, 1]
+    for i in range(len(dims) - 1):
+        ps.add(f"W{i}", rng.uniform(-1, 1, size=(dims[i + 1], dims[i])))
+        ps.add(f"b{i}", rng.uniform(-1, 1, size=dims[i + 1]))
     return ps
+
+
+def _critic_depth(ps):
+    """Hidden layer count of critic parameters `ps`."""
+    return sum(name.startswith("W") for name in ps.names()) - 1
 
 
 def _critic_net(ps, slope=0.2):
     """Network whose critic is `ps`; the other parameter sets are empty."""
     d = ps.value("W0").shape[1]
+    widths = tuple(ps.value(f"W{i}").shape[0]
+                   for i in range(_critic_depth(ps)))
     cfg = net.NetworkConfig(embed_dim=d, post_pool_widths=(d, d),
-                            critic_widths=(ps.value("W0").shape[0],
-                                           ps.value("W1").shape[0]),
-                            leaky_slope=slope)
+                            critic_widths=widths, leaky_slope=slope)
     return net.NetworkParams(cfg, ParamSet(), ParamSet(), ps)
 
 
 def _critic_value(ps, h, slope=0.2):
-    z0 = h @ ps.value("W0").T + ps.value("b0")
-    a0 = np.where(z0 > 0, z0, slope * z0)
-    z1 = a0 @ ps.value("W1").T + ps.value("b1")
-    a1 = np.where(z1 > 0, z1, slope * z1)
-    return (a1 @ ps.value("W2").T + ps.value("b2"))[:, 0]
+    k, a = _critic_depth(ps), h
+    for i in range(k):
+        z = a @ ps.value(f"W{i}").T + ps.value(f"b{i}")
+        a = np.where(z > 0, z, slope * z)
+    return (a @ ps.value(f"W{k}").T + ps.value(f"b{k}"))[:, 0]
 
 
 def test_input_gradient_linear_critic(rng):
@@ -591,36 +584,39 @@ def test_input_gradient_linear_critic(rng):
 
 
 def test_input_gradient_matches_fd_over_h(rng):
-    ps = _critic(rng)
-    h = rng.uniform(-2, 2, size=(6, 5))
-    out = ad.evaluate(net.critic_input_gradient(_critic_net(ps), ad.const(h)))
-    step = 1e-5
-    fd = np.zeros_like(h)
-    for i in range(h.shape[0]):
-        for j in range(h.shape[1]):
-            hp, hm = h.copy(), h.copy()
-            hp[i, j] += step
-            hm[i, j] -= step
-            fd[i, j] = (_critic_value(ps, hp)[i]
-                        - _critic_value(ps, hm)[i]) / (2 * step)
-    assert rel_err(out, fd) <= 1e-5
+    for widths in CRITIC_WIDTHS:
+        ps = _critic(rng, widths)
+        h = rng.uniform(-2, 2, size=(6, 5))
+        out = ad.evaluate(net.critic_input_gradient(_critic_net(ps),
+                                                    ad.const(h)))
+        step = 1e-5
+        fd = np.zeros_like(h)
+        for i in range(h.shape[0]):
+            for j in range(h.shape[1]):
+                hp, hm = h.copy(), h.copy()
+                hp[i, j] += step
+                hm[i, j] -= step
+                fd[i, j] = (_critic_value(ps, hp)[i]
+                            - _critic_value(ps, hm)[i]) / (2 * step)
+        assert rel_err(out, fd) <= 1e-5, widths
 
 
 def test_gradient_penalty_param_grads_match_fd(rng):
     # second-order check: d/dparams of (||grad_h f_w|| - 1)^2
-    ps = _critic(rng)
-    h = rng.uniform(-2, 2, size=(5, 5))
-    grad_node = net.critic_input_gradient(_critic_net(ps), ad.const(h))
-    norms = ad.sqrt(ad.sum_(ad.square(grad_node), axis=1))
-    root = ad.mean(ad.square(ad.sub(norms, ad.const(np.ones((5, 1))))))
-    ad.evaluate(root)
-    grads = ad.backward(root, ps)
-    for name in ("W0", "W1", "W2"):
-        fd = fd_param_gradient(root, ps, name)
-        assert rel_err(grads[name], fd) <= 1e-4, name
-    # bias gradients of the penalty are zero under the constant-mask rule
-    np.testing.assert_array_equal(grads["b0"], np.zeros_like(ps.value("b0")))
-    np.testing.assert_array_equal(grads["b1"], np.zeros_like(ps.value("b1")))
+    for widths in CRITIC_WIDTHS:
+        ps = _critic(rng, widths)
+        h = rng.uniform(-2, 2, size=(5, 5))
+        grad_node = net.critic_input_gradient(_critic_net(ps), ad.const(h))
+        norms = ad.sqrt(ad.sum_(ad.square(grad_node), axis=1))
+        root = ad.mean(ad.square(ad.sub(norms, ad.const(np.ones((5, 1))))))
+        ad.evaluate(root)
+        grads = ad.backward(root, ps)
+        for i in range(len(widths) + 1):
+            fd = fd_param_gradient(root, ps, f"W{i}")
+            assert rel_err(grads[f"W{i}"], fd) <= 1e-4, (widths, i)
+            # the penalty's bias gradients are zero: masks pass none
+            np.testing.assert_array_equal(grads[f"b{i}"],
+                                          np.zeros_like(ps.value(f"b{i}")))
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def _grid_gaussian_integral(model, vecs, nodes=600):
         cinv = np.linalg.inv(cov)
         _, logdet = np.linalg.slogdet(cov)
         return (-np.log(2 * np.pi) - 0.5 * logdet
-                - 0.5 * np.einsum("ij,jk,ik->i", d, cinv, d))
+                - 0.5 * np.einsum("ij,jk,ik->i", d, cinv, d, optimize=True))
 
     total = log_density(model.mu, model.between)
     for v in vecs:

@@ -47,7 +47,7 @@ def cross_entropy(logp, label, normalizer):
 def test_config_validation():
     with pytest.raises(ValueError, match="post-pool"):
         small_config(embed_dim=9)
-    for widths in ((8,), (8, 8, 8)):
+    for widths in ((), (0,)):
         with pytest.raises(ValueError, match="critic_widths"):
             small_config(critic_widths=widths)
     with pytest.raises(ValueError, match="symmetric"):
@@ -393,6 +393,22 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert not loaded.extractor.is_trainable("tdnn0.rmean")
 
 
+def test_checkpoint_roundtrip_three_layer_critic(tmp_path, rng):
+    cfg = small_config(critic_widths=(7, 3, 6))
+    params = net.init_network(cfg, seed=14)
+    path = tmp_path / "model.ckpt"
+    net.save_checkpoint(path, params)
+    loaded = net.load_checkpoint(path)
+    assert loaded.config == cfg
+    assert loaded.critic.names() == params.critic.names()
+    assert "W3" in loaded.critic.names()
+    for name in params.critic.names():
+        assert loaded.critic.value(name).tobytes() == \
+            params.critic.value(name).tobytes()
+    h = rng.normal(size=cfg.embed_dim)
+    assert critic_value(loaded, h) == critic_value(params, h)
+
+
 def test_checkpoint_truncation_detected(tmp_path):
     params = net.init_network(small_config(), seed=0)
     path = tmp_path / "model.ckpt"
@@ -441,7 +457,7 @@ def test_checkpoint_wrong_array_shape_rejected(tmp_path):
 
 @pytest.mark.parametrize("key, value, match", [
     ("dropout", 0.5, "unexpected keyword argument 'dropout'"),
-    ("critic_widths", [8], "critic_widths"),
+    ("critic_widths", [0], "critic_widths"),
     ("use_domain_bit", "yes", "use_domain_bit: expected a boolean, got 'yes'"),
     ("tdnn_widths", "abcde",
      "tdnn_widths: expected a non-empty list of integers, got 'abcde'"),

@@ -99,7 +99,7 @@ def test_config_rejects_unknown_section_key():
 
 def test_config_rejects_bad_section_values():
     with pytest.raises(ConfigError, match="network.*critic_widths"):
-        ExperimentConfig.from_dict({"network": {"critic_widths": [8]}})
+        ExperimentConfig.from_dict({"network": {"critic_widths": [0]}})
     with pytest.raises(ConfigError, match="train_base.*mode"):
         ExperimentConfig.from_dict({"train_base": {"mode": "semi"}})
     with pytest.raises(ConfigError, match="train_adapt.*warmup"):

@@ -81,7 +81,8 @@ def test_warmup_bound_skips_the_baseline():
 @pytest.mark.parametrize("kwargs, match", [
     ({"tdnn_contexts": [[-1, 0, 1], []]}, "tdnn_contexts: expected a "
                                           "non-empty list of non-empty"),
-    ({"critic_widths": [8, 8, 8]}, "critic_widths: expected a list of two"),
+    ({"critic_widths": []},
+     "critic_widths: expected a non-empty list of integers"),
     ({"bn_momentum": 1.5}, r"bn_momentum must lie in \[0, 1\], got 1.5"),
     ({"use_domain_bit": 1}, "use_domain_bit: expected a boolean, got 1"),
 ])

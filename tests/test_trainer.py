@@ -47,19 +47,19 @@ def set_linear_critic(params, v):
     """Make the critic compute exactly v . h despite the leaky-relu layers.
 
     Stacking [h; -h] and recombining with 1/(1+slope) undoes each
-    leaky-relu, so the map is linear everywhere.
+    leaky-relu, so the map is linear everywhere.  Every hidden layer is
+    2d wide; the ones after the first repeat the middle block.
     """
     d = params.config.embed_dim
     s = params.config.leaky_slope
     eye = np.eye(d)
-    c = params.critic
-    c.set_value("W0", np.concatenate([eye, -eye], axis=0))
-    c.set_value("b0", np.zeros(2 * d))
     block = np.block([[eye, -eye], [-eye, eye]]) / (1.0 + s)
-    c.set_value("W1", block)
-    c.set_value("b1", np.zeros(2 * d))
-    c.set_value("W2", np.concatenate([v, -v])[None, :] / (1.0 + s))
-    c.set_value("b2", np.zeros(1))
+    weights = [np.concatenate([eye, -eye], axis=0),
+               *[block] * (len(params.config.critic_widths) - 1),
+               np.concatenate([v, -v])[None, :] / (1.0 + s)]
+    for i, w in enumerate(weights):
+        params.critic.set_value(f"W{i}", w)
+        params.critic.set_value(f"b{i}", np.zeros(w.shape[0]))
 
 
 @pytest.fixture
@@ -587,6 +587,18 @@ def test_train_adv_reduces_wasserstein_gap(rng):
                             rate_critic=0.01, rate_main=0.05, delta=0.5)
     _, log = tr.train(params, cfg, sf, sl, tf, None)
     assert abs(log[-1]["l_wd"]) < abs(log[0]["l_wd"])
+
+
+@pytest.mark.parametrize("widths", [(8,), (8, 8), (8, 8, 8)])
+def test_adaptation_step_at_any_critic_depth(rng, widths):
+    params = net.init_network(tiny_config(critic_widths=widths), seed=18)
+    sf, sl = make_feats(rng, 10, prefix="s", n_classes=5)
+    tf, tl = make_feats(rng, 8, prefix="t", n_classes=4)
+    cfg = tiny_train_config(mode="adv+sup", minibatches_per_epoch=1)
+    critic0 = param_bytes(params.critic)
+    out, log = tr.train(params, cfg, sf, sl, tf, tl)
+    assert param_bytes(out.critic) != critic0
+    assert np.isfinite(log[0]["l_wd"]) and log[0]["l_grad"] > 0.0
 
 
 def test_train_baseline_learns_and_logs(rng):

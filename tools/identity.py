@@ -1,0 +1,152 @@
+"""Byte-identity pass: every stage output of every benchmark workload,
+hashed, for comparison with another checkout of the code.
+
+For each seed and each workload config of `perfbench/workloads.py`, the
+pass runs the pipeline's stages in this process, as `advda` would: synth
+and train-base; then the baseline and the adaptation modes `sup`, `adv`,
+`adv+sup`, `adv+sup --scope post-pool` and `adv+lan+sup`, each extracted,
+given the plain and the adapted backend, scored and evaluated; then
+`report`.  Pseudo-eval's config sets `backend.pseudo_threshold`, so its
+target-supervised modes train on pseudo-labels.  Usage, from the root of
+a checkout:
+
+    python3 tools/identity.py --seeds 1 2 3 --out OUT [--against DIR]
+
+It writes to OUT:
+
+- `digests.txt`: the sha256 of every output except the stage manifests
+  (which hold wall-clock times), one `<digest>  <workload>/seed<k>/<file>`
+  line each;
+- `metrics.tsv`: EER and minDCF of every report;
+- `env.json`: the BLAS thread count in effect, and the Python and numpy
+  versions;
+- `<workload>/seed<k>/`: the run directories themselves, emptied first.
+
+Stage outputs depend on the number of BLAS threads, so the pass sets
+`OPENBLAS_NUM_THREADS=1` before numpy loads and records the count the
+library reports.  `--against DIR` reads the `digests.txt` of an earlier
+pass, prints each output whose digest differs or which only one pass
+has, and exits with status 1 if there is any.
+
+Protocol for a change that must keep every output: run
+`--seeds 1 2 3` in a copy of the parent commit, then the same seeds in
+the change with `--against` the parent's OUT; report every differing
+output it names, and the two `metrics.tsv` tables if any differ.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from advda import pipeline as pl  # noqa: E402
+from run import blas_info  # noqa: E402  (perfbench/run.py)
+from workloads import WORKLOADS  # noqa: E402
+
+# (mode, scope) of every variant; mode None is the unadapted baseline
+VARIANTS = [(None, "all"), ("sup", "all"), ("adv", "all"),
+            ("adv+sup", "all"), ("adv+sup", "post-pool"),
+            ("adv+lan+sup", "all")]
+
+
+def run_workload(workload, seed, out_dir):
+    """Every stage of one workload and seed, in `out_dir`."""
+    cfg = pl.ExperimentConfig.from_dict(
+        {**workload.experiment, "seed": seed, "out_dir": out_dir})
+    pl.cmd_synth(cfg)
+    pl.cmd_train_base(cfg)
+    for mode, scope in VARIANTS:
+        if mode is None:
+            tag, ckpt = "baseline", cfg.path("base.ckpt")
+        else:
+            tag = pl.tag_for(mode, scope)
+            ckpt = pl.cmd_adapt(cfg, mode, scope)
+        pl.cmd_extract(cfg, ckpt, tag)
+        pl.cmd_backend(cfg, tag)
+        pl.cmd_backend_adapt(cfg, tag)
+        for adapted in (False, True):
+            pl.cmd_score(cfg, tag, adapted=adapted)
+            pl.cmd_eval(cfg, tag, adapted=adapted)
+    pl.cmd_report(cfg)
+
+
+def sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
+
+
+def read_digests(path):
+    with open(path) as f:
+        pairs = [line.rstrip("\n").split("  ", 1) for line in f
+                 if line.strip()]
+    return {p: d for d, p in pairs}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--against", default=None,
+                        help="OUT directory of an earlier pass")
+    args = parser.parse_args()
+
+    env = {"blas": blas_info(), "python": platform.python_version(),
+           "numpy": np.__version__}
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "env.json"), "w") as f:
+        json.dump(env, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"BLAS threads: {env['blas'].get('threads')}")
+
+    digests, rows = {}, []
+    for name, workload in WORKLOADS.items():
+        for seed in args.seeds:
+            rel = f"{name}/seed{seed}"
+            run_dir = os.path.join(args.out, rel)
+            shutil.rmtree(run_dir, ignore_errors=True)
+            run_workload(workload, seed, run_dir)
+            for fname in sorted(os.listdir(run_dir)):
+                if not fname.endswith(".manifest.json"):
+                    digests[f"{rel}/{fname}"] = sha256(
+                        os.path.join(run_dir, fname))
+                if fname.startswith("report_"):
+                    with open(os.path.join(run_dir, fname)) as f:
+                        r = json.load(f)
+                    report = fname[len("report_"):-len(".json")]
+                    rows.append(f"{name}\t{seed}\t{report}\t"
+                                f"{r['eer_pct']!r}\t{r['min_dcf_001']!r}\t"
+                                f"{r['min_dcf_0005']!r}")
+            print(f"{rel}: done", flush=True)
+    with open(os.path.join(args.out, "digests.txt"), "w") as f:
+        f.writelines(f"{d}  {p}\n" for p, d in digests.items())
+    with open(os.path.join(args.out, "metrics.tsv"), "w") as f:
+        f.write("workload\tseed\treport\teer_pct\tmin_dcf_001"
+                "\tmin_dcf_0005\n")
+        f.writelines(row + "\n" for row in rows)
+    print(f"{len(digests)} outputs hashed")
+
+    if args.against is None:
+        return 0
+    theirs = read_digests(os.path.join(args.against, "digests.txt"))
+    differ = sorted(p for p in digests.keys() | theirs.keys()
+                    if digests.get(p) != theirs.get(p))
+    for p in differ:
+        print(f"differs: {p}")
+    print(f"{len(differ)} of {len(digests.keys() | theirs.keys())} "
+          f"outputs differ from {args.against}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
