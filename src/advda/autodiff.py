@@ -122,12 +122,9 @@ def relu(x: Node) -> Node:
     return Node("relu", (x,))
 
 
-def leaky_relu(x: Node, slope: float = 0.2) -> Node:
-    return Node("leaky-relu", (x,), slope=float(slope))
-
-
 def leaky_relu_mask(x: Node, slope: float = 0.2) -> Node:
-    """`leaky_relu`'s derivative at x, a constant under differentiation."""
+    """1 where x > 0, else `slope`: leaky relu is `mul(x, mask)`, and the
+    mask its derivative at x, a constant under differentiation."""
     return Node("leaky-relu-mask", (x,), slope=float(slope))
 
 
@@ -263,10 +260,6 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def _lrelu_mask(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, slope)
-
-
 def _forward(node: Node) -> np.ndarray:
     op = node.op
     p = node.parents
@@ -283,12 +276,8 @@ def _forward(node: Node) -> np.ndarray:
         return np.concatenate([q.value for q in p], axis=node.attrs["axis"])
     if op == "relu":
         return np.maximum(p[0].value, 0.0)
-    if op == "leaky-relu":
-        s = node.attrs["slope"]
-        x = p[0].value
-        return np.where(x > 0.0, x, s * x)
     if op == "leaky-relu-mask":
-        return _lrelu_mask(p[0].value, node.attrs["slope"])
+        return np.where(p[0].value > 0.0, 1.0, node.attrs["slope"])
     if op == "batch-norm":
         x, gamma, beta = p[0].value, p[1].value, p[2].value
         eps = node.attrs["eps"]
@@ -438,9 +427,6 @@ def _backward_node(node: Node) -> None:
         return
     if op == "relu":
         _accum(p[0], g * (p[0].value > 0.0))
-        return
-    if op == "leaky-relu":
-        _accum(p[0], g * _lrelu_mask(p[0].value, node.attrs["slope"]))
         return
     if op == "batch-norm":
         x, gamma = p[0].value, p[1].value

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from . import container
-from .schema import at_least, check
+from .schema import at_least, check, within
 
 BUNDLE_MAGIC = b"ADVB"
 BUNDLE_VERSION = 1
@@ -49,10 +49,17 @@ class PldaModel:
 
 
 @dataclass
-class AdaptParams:
+class BackendConfig:
+    """The `backend` section of an experiment config."""
+    # lda_dim's upper bounds are in the cross-section checks
+    lda_dim: int = at_least(1, default=16)
+    plda_iterations: int = at_least(1, default=10)
     # shares of the excess variance given to between- and within-class
     xi: float = at_least(0, default=0.25)
     eta: float = at_least(0, default=0.75)
+    length_norm: bool = True
+    # cluster target labels at this cosine similarity if set
+    pseudo_threshold: float | None = within(-1, 1, default=None)
 
     def __post_init__(self):
         check(self)
@@ -207,7 +214,7 @@ class PldaScorer:
 
 
 def plda_adapt(model: PldaModel, vectors: np.ndarray,
-               p: AdaptParams) -> PldaModel:
+               cfg: BackendConfig) -> PldaModel:
     """Redistribute the adaptation data's excess variance into the model.
 
     In the basis where the model's total covariance is identity and the
@@ -232,8 +239,8 @@ def plda_adapt(model: PldaModel, vectors: np.ndarray,
     t = u.T @ whiten          # T total T' = I, T cov T' = diag(v)
     t_inv = np.linalg.inv(t)
     excess = np.maximum(v - 1.0, 0.0)
-    b_t = t @ model.between @ t.T + p.xi * np.diag(excess)
-    w_t = t @ model.within @ t.T + p.eta * np.diag(excess)
+    b_t = t @ model.between @ t.T + cfg.xi * np.diag(excess)
+    w_t = t @ model.within @ t.T + cfg.eta * np.diag(excess)
     between = _sym(t_inv @ b_t @ t_inv.T)
     within = _sym(t_inv @ w_t @ t_inv.T)
     return PldaModel(mu=model.mu.copy(), between=between, within=within)

@@ -53,7 +53,6 @@ class CorpusConfig:
     # the target map, the same for every corpus seed (shift seed 0)
     shift_rotation: float = 0.5
     shift_offset: float = 1.5
-    target_cov_scale: float = at_least(0, default=1.0)  # target noise factor
     # half the target speakers get a second language tag and map
     second_language: bool = False
     augment_copies: int = at_least(0, default=0)
@@ -117,11 +116,9 @@ def generate_domain(cfg: CorpusConfig, domain: str, seed: int):
         for u in range(n_utt):
             rng = _utt_rng(seed, domain, index)
             t = int(rng.integers(lo, hi + 1))
-            noise = cfg.noise_scale
-            if domain == "target":
-                noise *= cfg.target_cov_scale
             channel = cfg.channel_scale * rng.standard_normal(m)
-            frames = means[s] + channel + noise * rng.standard_normal((t, m))
+            frames = means[s] + channel + cfg.noise_scale * \
+                rng.standard_normal((t, m))
             if domain == "target":
                 if lang2:
                     frames = frames @ a2.T + b2

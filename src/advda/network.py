@@ -225,19 +225,22 @@ def build_classifier(params: NetworkParams, h: Node, head: str,
         params, classifier_trunk(params, h, training), head))
 
 
-def _critic_layers(params: NetworkParams, h: Node) -> list[Node]:
-    """Pre-activations of the critic's affine layers, the output last."""
+def _critic_layers(params: NetworkParams, h: Node):
+    """The critic's output node and the leaky-relu mask of each hidden
+    layer; a hidden activation is its pre-activation times its mask."""
     cr = params.critic
-    zs = []
+    x, masks = h, []
     for i in range(len(params.config.critic_widths) + 1):
-        x = h if i == 0 else ad.leaky_relu(zs[-1], params.config.leaky_slope)
-        zs.append(ad.affine(x, ad.param(cr, f"W{i}"), ad.param(cr, f"b{i}")))
-    return zs
+        if i:
+            masks.append(ad.leaky_relu_mask(x, params.config.leaky_slope))
+            x = ad.mul(x, masks[-1])
+        x = ad.affine(x, ad.param(cr, f"W{i}"), ad.param(cr, f"b{i}"))
+    return x, masks
 
 
 def build_critic(params: NetworkParams, h: Node) -> Node:
     """Critic graph from embeddings (n, d) to per-row scalars (n, 1)."""
-    return _critic_layers(params, h)[-1]
+    return _critic_layers(params, h)[0]
 
 
 def critic_input_gradient(params: NetworkParams, h: Node) -> Node:
@@ -245,12 +248,10 @@ def critic_input_gradient(params: NetworkParams, h: Node) -> Node:
     each hidden layer i by its leaky-relu mask Di, then its weights Wi.
     Masks pass no gradient, so the penalty gives biases none."""
     cr = params.critic
-    slope = params.config.leaky_slope
-    zs = _critic_layers(params, h)
-    g = ad.param(cr, f"W{len(zs) - 1}")
-    for i in reversed(range(len(zs) - 1)):
-        g = ad.matmul(ad.mul(ad.leaky_relu_mask(zs[i], slope), g),
-                      ad.param(cr, f"W{i}"))
+    masks = _critic_layers(params, h)[1]
+    g = ad.param(cr, f"W{len(masks)}")
+    for i in reversed(range(len(masks))):
+        g = ad.matmul(ad.mul(masks[i], g), ad.param(cr, f"W{i}"))
     return g
 
 

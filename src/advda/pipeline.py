@@ -49,21 +49,6 @@ def _strict(cls, data: dict, where: str, stage_set=()):
 
 
 @dataclass
-class BackendSection:
-    # lda_dim's upper bounds are in the cross-section checks
-    lda_dim: int = at_least(1, default=16)
-    plda_iterations: int = at_least(1, default=10)
-    xi: float = at_least(0, default=0.25)
-    eta: float = at_least(0, default=0.75)
-    length_norm: bool = True
-    # cluster target labels at this cosine similarity if set
-    pseudo_threshold: float | None = within(-1, 1, default=None)
-
-    def __post_init__(self):
-        check(self)
-
-
-@dataclass
 class TrialsSection:
     nontarget_per_target: int = at_least(1, default=4)
 
@@ -74,7 +59,7 @@ class TrialsSection:
 # Every section's class, and the keys in it that the stages always set.
 _SECTIONS = {
     "corpus": (cp.CorpusConfig, ()),
-    "backend": (BackendSection, ()),
+    "backend": (be.BackendConfig, ()),
     "trials": (TrialsSection, ()),
     "network": (net.NetworkConfig, ("frame_dim", "n_source_classes",
                                     "n_target_classes", "use_domain_bit")),
@@ -91,7 +76,7 @@ class ExperimentConfig:
     network: dict = field(default_factory=dict)
     train_base: dict = field(default_factory=dict)
     train_adapt: dict = field(default_factory=dict)
-    backend: BackendSection = field(default_factory=BackendSection)
+    backend: be.BackendConfig = field(default_factory=be.BackendConfig)
     trials: TrialsSection = field(default_factory=TrialsSection)
     # the report gives one minDCF for each of the two priors
     priors: tuple[float, float] = within(0, 1, default=(0.01, 0.005),
@@ -404,8 +389,8 @@ def cmd_backend_adapt(cfg: ExperimentConfig, tag: str) -> str:
         transform, model = be.load_bundle(bundle)
         vectors = np.stack([be.apply_transform(transform, v)
                             for v in _read_embeddings(tgt_emb).values()])
-        p = be.AdaptParams(xi=cfg.backend.xi, eta=cfg.backend.eta)
-        be.save_bundle(out, transform, be.plda_adapt(model, vectors, p))
+        be.save_bundle(out, transform,
+                       be.plda_adapt(model, vectors, cfg.backend))
     return out
 
 

@@ -66,17 +66,12 @@ class TrainConfig:
 
 
 @dataclass
-class BatchItem:
-    utt_id: str
-    frames: np.ndarray
-    label: int | None
-    bit: int
-
-
-@dataclass
 class Minibatch:
-    source: list
-    target: list
+    """Cropped segments stacked along the rows, the source ones first."""
+    frames: np.ndarray  # (T, m) float64
+    counts: list        # frame count of each segment
+    labels: list        # speaker label of each; None for unlabelled target
+    n_source: int
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig):
@@ -127,15 +122,14 @@ class MinibatchSampler:
                rng.integers(0, len(self.src_ids), size=cfg.source_batch)]
         tgt = [] if self.tgt_ids is None else [self.tgt_ids[i] for i in
                rng.integers(0, len(self.tgt_ids), size=cfg.target_batch)]
-        source = [BatchItem(u, crop_segment(
-            np.asarray(self.source_feats[u], dtype=np.float64),
-            cfg.segment_frames, rng), self.source_labels[u], 0) for u in src]
-        target = [BatchItem(u, crop_segment(
-            np.asarray(self.target_feats[u], dtype=np.float64),
-            cfg.segment_frames, rng),
-            self.target_labels[u] if self.target_labels else None, 1)
+        crops = [crop_segment(np.asarray(feats[u]), cfg.segment_frames, rng)
+                 for feats, ids in ((self.source_feats, src),
+                                    (self.target_feats, tgt)) for u in ids]
+        labels = [self.source_labels[u] for u in src] + [
+            self.target_labels[u] if self.target_labels else None
             for u in tgt]
-        return Minibatch(source, target)
+        return Minibatch(np.concatenate(crops, dtype=np.float64),
+                         [len(c) for c in crops], labels, len(src))
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +182,20 @@ def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
 
 def embed_minibatch(params: NetworkParams, batch: Minibatch,
                     cfg: TrainConfig) -> ad.Node:
-    """Embedding node of the source then the target items, from one
+    """Embedding node of the source then the target segments, from one
     forward pass.
 
     Both domains go through the same minibatch so training-mode batch
     norm sees mixed-domain statistics; per-domain batches would center
     each domain separately and erase the shift the critic must measure.
     """
-    items = batch.source + batch.target
     # only adv+lan+sup ("domain labels in the feature extractor") sees the
     # real bit; elsewhere bit 0 leaves the bit weights at their zero start
     # (they get no gradient), so both domains share one embedding function
-    bits = [it.bit if cfg.mode == "adv+lan+sup" else 0 for it in items]
+    n_target = len(batch.counts) - batch.n_source
+    bits = [0] * batch.n_source + [int(cfg.mode == "adv+lan+sup")] * n_target
     return net.build_embedding_batch(
-        params, ad.const(np.concatenate([it.frames for it in items])),
-        [it.frames.shape[0] for it in items], bits,
+        params, ad.const(batch.frames), batch.counts, bits,
         training=cfg.scope == "all")
 
 
@@ -224,28 +217,26 @@ def main_step(params: NetworkParams, batch: Minibatch, emb: ad.Node,
     classifier and critic gradients flow into the extractor from the
     same embeddings the critic steps saw.
     """
-    ns, nt = len(batch.source), len(batch.target)
-    hs, ht = ad.slice_rows(emb, 0, ns), ad.slice_rows(emb, ns, ns + nt)
-    src_labels = [it.label for it in batch.source]
+    ns, n = batch.n_source, len(batch.counts)
+    hs, ht = ad.slice_rows(emb, 0, ns), ad.slice_rows(emb, ns, n)
     ls_norm = np.log(params.config.n_source_classes)
     lt_norm = np.log(max(params.config.n_target_classes, 2))
 
     classify_target = cfg.supervised_target and not warmup
     if classify_target:
-        if any(it.label is None for it in batch.target):
+        if None in batch.labels[ns:]:
             raise ValueError(f"mode {cfg.mode!r} requires target labels")
     trunk = net.classifier_trunk(params, emb if classify_target else hs,
                                  training=True)
     logp_s = ad.log_softmax(net.classifier_head(
         params, ad.slice_rows(trunk, 0, ns), "source"))
-    ce_s = ad.cross_entropy(logp_s, src_labels, ls_norm)
+    ce_s = ad.cross_entropy(logp_s, batch.labels[:ns], ls_norm)
     terms = [ad.scale(ce_s, cfg.source_loss_weight)]
     ce_t_node = None
     if classify_target:
         logp_t = ad.log_softmax(net.classifier_head(
-            params, ad.slice_rows(trunk, ns, ns + nt), "target"))
-        ce_t_node = ad.cross_entropy(logp_t, [it.label for it in batch.target],
-                                     lt_norm)
+            params, ad.slice_rows(trunk, ns, n), "target"))
+        ce_t_node = ad.cross_entropy(logp_t, batch.labels[ns:], lt_norm)
         terms.append(ad.scale(ce_t_node, cfg.target_loss_weight))
     l_wd_node = None
     if cfg.adversarial and not warmup:
@@ -376,7 +367,7 @@ def train(params: NetworkParams, cfg: TrainConfig,
                 batch = sampler.sample(rng)
                 emb = embed_minibatch(params, batch, cfg)
                 h = ad.evaluate(emb)
-                hs, ht = h[:len(batch.source)], h[len(batch.source):]
+                hs, ht = h[:batch.n_source], h[batch.n_source:]
                 if cfg.adversarial:
                     for _ in range(cfg.critic_steps):
                         wd, gp = critic_step(params, hs, ht, cfg, rate1, rng)
@@ -419,8 +410,7 @@ def train_baseline(params: NetworkParams, cfg: TrainConfig,
                 batch = sampler.sample(rng)
                 logp = net.build_classifier(params, embed_minibatch(
                     params, batch, cfg), "source", training=True)
-                loss = ad.cross_entropy(
-                    logp, [it.label for it in batch.source], ls_norm)
+                loss = ad.cross_entropy(logp, batch.labels, ls_norm)
                 _descend(params, loss, rate)
                 ce_vals.append(float(loss.value))
         log.append({"epoch": epoch, "l_wd": None, "l_grad": None,

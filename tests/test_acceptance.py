@@ -20,7 +20,7 @@ from advda import metrics as mx
 from advda import network as net
 from advda import pipeline as pl
 from advda import trainer as tr
-from advda.backend import AdaptParams, PldaModel
+from advda.backend import BackendConfig, PldaModel
 from advda.network import NetworkConfig
 from advda.trainer import TrainConfig
 
@@ -97,7 +97,7 @@ def test_criterion_1_gradient_correctness(rng):
         h = ad.slice_rows(h, 0, 6)
         h = ad.affine(ad.matmul(h, ad.const(rng.normal(size=(8, 4)))),
                       ad.param(ps, "W"), ad.param(ps, "b"))
-        h = ad.add(ad.relu(h), ad.leaky_relu(h, 0.2))
+        h = ad.add(ad.relu(h), ad.mul(h, ad.leaky_relu_mask(h, 0.2)))
         h = ad.batch_norm(h, ad.param(ps, "gamma"), ad.param(ps, "beta"),
                           ps, "rmean", "rvar", True, 0.9, 1e-5)
         h = ad.mul(h, ad.matmul(h, ad.param(ps, "M")))
@@ -118,19 +118,19 @@ def test_criterion_1_gradient_correctness(rng):
         batch = make_batch(rng, params, n=3)
         cfg = tiny_train_config(mode="adv+sup")
         emb = tr.embed_minibatch(params, batch, cfg)
-        ns, nt = len(batch.source), len(batch.target)
+        ns, n = batch.n_source, len(batch.counts)
         hs_node = ad.slice_rows(emb, 0, ns)
-        ht_node = ad.slice_rows(emb, ns, ns + nt)
+        ht_node = ad.slice_rows(emb, ns, n)
         trunk = net.classifier_trunk(params, emb, training=True)
         ce_s = ad.cross_entropy(
             ad.log_softmax(net.classifier_head(
                 params, ad.slice_rows(trunk, 0, ns), "source")),
-            [it.label for it in batch.source],
+            batch.labels[:ns],
             np.log(params.config.n_source_classes))
         ce_t = ad.cross_entropy(
             ad.log_softmax(net.classifier_head(
-                params, ad.slice_rows(trunk, ns, ns + nt), "target")),
-            [it.label for it in batch.target],
+                params, ad.slice_rows(trunk, ns, n), "target")),
+            batch.labels[ns:],
             np.log(params.config.n_target_classes))
         l_c = ad.add(ad.scale(ce_s, cfg.source_loss_weight),
                      ad.scale(ce_t, cfg.target_loss_weight))
@@ -301,7 +301,7 @@ def test_criterion_6_adaptation_algebra(rng):
                    "specified)"):
         model = random_model(rng, 5)
         vectors = rng.normal(size=(4000, 5)) @ rng.normal(size=(5, 5)) * 1.5
-        adapted = be.plda_adapt(model, vectors, AdaptParams(xi=0.3, eta=0.7))
+        adapted = be.plda_adapt(model, vectors, BackendConfig(xi=0.3, eta=0.7))
         total = model.between + model.within
         cov = np.cov(vectors.T, bias=True)
         evals, evecs = np.linalg.eigh(total)
@@ -311,11 +311,11 @@ def test_criterion_6_adaptation_algebra(rng):
         np.testing.assert_allclose(np.linalg.eigvalsh(new_total),
                                    np.maximum(v, 1.0), atol=1e-8)
 
-        frozen = be.plda_adapt(model, vectors, AdaptParams(0.0, 0.0))
+        frozen = be.plda_adapt(model, vectors, BackendConfig(xi=0.0, eta=0.0))
         np.testing.assert_allclose(frozen.between, model.between, atol=1e-8)
         np.testing.assert_allclose(frozen.within, model.within, atol=1e-8)
 
-        preset = AdaptParams()
+        preset = BackendConfig()
         assert preset.xi == 0.25 and preset.eta == 0.75
 
 

@@ -9,9 +9,8 @@ from advda import pipeline as pl
 from advda import schema
 from advda import trainer as tr
 
-CONFIG_CLASSES = (cp.CorpusConfig, pl.BackendSection, pl.TrialsSection,
-                  pl.ExperimentConfig, net.NetworkConfig, tr.TrainConfig,
-                  be.AdaptParams)
+CONFIG_CLASSES = (cp.CorpusConfig, be.BackendConfig, pl.TrialsSection,
+                  pl.ExperimentConfig, net.NetworkConfig, tr.TrainConfig)
 NAN = float("nan")
 NAN_OF = {float: NAN, float | None: NAN, tuple[float, float]: (NAN, NAN)}
 
@@ -92,8 +91,8 @@ def test_network_config_messages_name_the_key(kwargs, match):
 
 
 def test_optional_bounded_field():
-    assert pl.BackendSection(pseudo_threshold=None).pseudo_threshold is None
+    assert be.BackendConfig(pseudo_threshold=None).pseudo_threshold is None
     with pytest.raises(ValueError, match="pseudo_threshold must lie in"):
-        pl.BackendSection(pseudo_threshold="0.5")
+        be.BackendConfig(pseudo_threshold="0.5")
     with pytest.raises(ValueError, match="xi must be at least 0, got -1"):
-        be.AdaptParams(xi=-1)
+        be.BackendConfig(xi=-1)

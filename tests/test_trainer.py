@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from advda import autodiff as ad
 from advda import network as net
 from advda import trainer as tr
 from advda.network import NetworkConfig
-from advda.trainer import BatchItem, Minibatch, TrainConfig
+from advda.trainer import Minibatch, TrainConfig
 from conftest import (critic_gap, critic_value, gradient_penalty,
                       read_train_log)
 
@@ -119,19 +122,23 @@ def test_crop_segment(rng):
 
 def test_minibatch_sampler_composition(rng):
     sf, sl = make_feats(rng, 12, prefix="s")
+    sf = {u: f.astype(np.float32) for u, f in sf.items()}
     tf, tl = make_feats(rng, 8, n_classes=4, prefix="t")
     cfg = tiny_train_config(source_batch=6, target_batch=4)
     sampler = tr.MinibatchSampler(sf, sl, tf, tl, cfg)
+    replay = copy.deepcopy(rng)
     batch = sampler.sample(rng)
-    assert len(batch.source) == 6
-    assert len(batch.target) == 4
-    for it in batch.source:
-        assert it.bit == 0
-        assert it.label == sl[it.utt_id]
-        assert it.frames.shape[0] <= 12
-    for it in batch.target:
-        assert it.bit == 1
-        assert it.label == tl[it.utt_id]
+    # draw order: source indices, target indices, then each crop
+    src = [sorted(sf)[i] for i in replay.integers(0, 12, size=6)]
+    tgt = [sorted(tf)[i] for i in replay.integers(0, 8, size=4)]
+    crops = [tr.crop_segment(feats[u], cfg.segment_frames, replay)
+             for feats, ids in ((sf, src), (tf, tgt)) for u in ids]
+    assert batch.n_source == 6
+    assert batch.counts == [len(c) for c in crops]
+    assert max(batch.counts) <= 12
+    assert batch.labels == [sl[u] for u in src] + [tl[u] for u in tgt]
+    assert batch.frames.dtype == np.float64
+    np.testing.assert_array_equal(batch.frames, np.concatenate(crops))
 
 
 def test_minibatch_sampler_unlabeled_target(rng):
@@ -139,7 +146,7 @@ def test_minibatch_sampler_unlabeled_target(rng):
     tf, _ = make_feats(rng, 6, prefix="t")
     sampler = tr.MinibatchSampler(sf, sl, tf, None, tiny_train_config())
     batch = sampler.sample(rng)
-    assert all(it.label is None for it in batch.target)
+    assert batch.labels[batch.n_source:] == [None] * 5
 
 
 def test_minibatch_sampler_empty_domain(rng):
@@ -224,8 +231,10 @@ def test_gradient_penalty_zero_critic_is_one():
     assert gradient_penalty(params, np.ones((3, 8))) == pytest.approx(1.0)
 
 
-def test_gradient_penalty_matches_finite_differences(rng):
-    params = net.init_network(tiny_config(), seed=5)
+@pytest.mark.parametrize("widths", [(8,), (8, 8), (8, 8, 8)],
+                         ids=["depth1", "depth2", "depth3"])
+def test_gradient_penalty_matches_finite_differences(rng, widths):
+    params = net.init_network(tiny_config(critic_widths=widths), seed=5)
     hhat = rng.normal(size=(4, 8))
     eps = 1e-6
     norms = []
@@ -280,11 +289,11 @@ def make_batch(rng, params, n=5, labeled_target=True):
                         n_classes=params.config.n_source_classes)
     tf, tl = make_feats(rng, n, prefix="t",
                         n_classes=params.config.n_target_classes)
-    source = [BatchItem(u, np.asarray(sf[u]), sl[u], 0) for u in sorted(sf)]
-    target = [BatchItem(u, np.asarray(tf[u]),
-                        tl[u] if labeled_target else None, 1)
-              for u in sorted(tf)]
-    return Minibatch(source, target)
+    frames = [sf[u] for u in sorted(sf)] + [tf[u] for u in sorted(tf)]
+    labels = [sl[u] for u in sorted(sf)] + [
+        tl[u] if labeled_target else None for u in sorted(tf)]
+    return Minibatch(np.concatenate(frames), [len(f) for f in frames],
+                     labels, n)
 
 
 def embed_and_step(params, batch, cfg, rate, warmup=False):
@@ -302,10 +311,9 @@ def test_embed_minibatch_feeds_the_bit_only_in_adv_lan_sup(rng):
             w[:, -1] = rng.normal(size=w.shape[0])
             params.extractor.set_value(n, w)
     batch = make_batch(rng, params)
-    ns = len(batch.source)
-    zeroed = Minibatch(batch.source,
-                       [BatchItem(it.utt_id, it.frames, it.label, 0)
-                        for it in batch.target])
+    ns = batch.n_source
+    # counted as source, the target segments get bit 0
+    zeroed = dataclasses.replace(batch, n_source=len(batch.counts))
 
     def embed(b, mode):
         return ad.evaluate(tr.embed_minibatch(params, b,
@@ -337,9 +345,8 @@ def test_main_step_folds_batch_statistics_once(rng):
     w, b = ext.value("tdnn0.W").copy(), ext.value("tdnn0.b").copy()
     embed_and_step(params, batch, cfg, 0.1)
     spliced = np.concatenate([
-        ad.evaluate(ad.splice(ad.const(it.frames),
-                              params.config.tdnn_contexts[0]))
-        for it in batch.source + batch.target])
+        ad.evaluate(ad.splice(ad.const(f), params.config.tdnn_contexts[0]))
+        for f in np.split(batch.frames, np.cumsum(batch.counts)[:-1])])
     mu = np.maximum(spliced @ w.T + b, 0.0).mean(axis=0)
     m = params.config.bn_momentum
     np.testing.assert_allclose(ext.value("tdnn0.rmean"), (1 - m) * mu,
