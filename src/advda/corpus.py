@@ -79,70 +79,65 @@ def make_domain_shift(frame_dim: int, rotation: float = 0.5,
     return a, b
 
 
-def _utt_rng(seed, domain, index):
-    code = {"source": 0, "target": 1}[domain]
-    return np.random.default_rng([seed, code, index])
+# each set's id prefix, RNG stream code and seed offset: the eval set
+# draws fresh speakers from the target's stream under a later seed
+SETS = {"source": ("src", 0, 0), "target": ("tgt", 1, 0),
+        "eval": ("ev", 1, 1000)}
 
 
 def generate_domain(cfg: CorpusConfig, domain: str, seed: int):
-    """Archive dict (utt_id -> float32 frames) and manifest records."""
-    if domain == "source":
-        n_spk = cfg.source_speakers
-        n_utt = cfg.source_utts_per_speaker
-        prefix = "src"
-    elif domain == "target":
-        n_spk = cfg.target_speakers
-        n_utt = cfg.target_utts_per_speaker
-        prefix = "tgt"
-    else:
+    """Archive dict (utt_id -> float32 frames) and manifest records of the
+    source, target or eval set; eval records carry domain "target"."""
+    if domain not in SETS:
         raise ValueError(f"unknown domain {domain!r}")
+    prefix, code, offset = SETS[domain]
+    n_spk = getattr(cfg, f"{domain}_speakers")
+    n_utt = getattr(cfg, f"{domain}_utts_per_speaker")
+    shifted = domain != "source"
     m = cfg.frame_dim
-    spk_rng = np.random.default_rng(
-        [seed, {"source": 0, "target": 1}[domain], 10**6])
+    set_seed = seed + offset
+    spk_rng = np.random.default_rng([set_seed, code, 10**6])
     means = cfg.speaker_scale * spk_rng.standard_normal((n_spk, m))
-    if domain == "target":
+    if shifted:
         shift_a, shift_b = make_domain_shift(m, cfg.shift_rotation,
                                              cfg.shift_offset, seed=0)
-    a2 = b2 = None
-    if cfg.second_language and domain == "target":
+    if cfg.second_language and shifted:
         a2, b2 = make_domain_shift(m, rotation=0.7, offset=1.5,
-                                   seed=seed + 1)
+                                   seed=set_seed + 1)
     archive = {}
     records = []
     lo, hi = cfg.frames_range
     index = 0
     for s in range(n_spk):
-        lang2 = cfg.second_language and domain == "target" and s >= n_spk // 2
+        lang2 = cfg.second_language and shifted and s >= n_spk // 2
         for u in range(n_utt):
-            rng = _utt_rng(seed, domain, index)
+            rng = np.random.default_rng([set_seed, code, index])
             t = int(rng.integers(lo, hi + 1))
             channel = cfg.channel_scale * rng.standard_normal(m)
             frames = means[s] + channel + cfg.noise_scale * \
                 rng.standard_normal((t, m))
-            if domain == "target":
-                if lang2:
-                    frames = frames @ a2.T + b2
-                else:
-                    frames = frames @ shift_a.T + shift_b
+            if lang2:
+                frames = frames @ a2.T + b2
+            elif shifted:
+                frames = frames @ shift_a.T + shift_b
             base_id = f"{prefix}-{s:04d}-{u:03d}"
             versions = [(base_id, frames)]
             for k in range(cfg.augment_copies):
                 aug = frames + cfg.augment_scale * rng.standard_normal((t, m))
                 versions.append((f"{base_id}-aug{k}", aug))
-            lang = "lang2" if lang2 else ("lang1" if domain == "target"
-                                          else "lang0")
+            lang = "lang2" if lang2 else ("lang1" if shifted else "lang0")
             for uid, fr in versions:
                 archive[uid] = fr.astype(np.float32)
-                records.append(ManifestRecord(uid, f"{prefix}-spk{s:04d}",
-                                              domain, lang, t))
+                records.append(ManifestRecord(
+                    uid, f"{prefix}-spk{s:04d}",
+                    "target" if shifted else "source", lang, t))
             index += 1
     return archive, records
 
 
 def generate_corpus(cfg: CorpusConfig, seed: int):
-    """Per-domain (archive, manifest) pair, deterministic given the seed."""
-    return {domain: generate_domain(cfg, domain, seed)
-            for domain in ("source", "target")}
+    """(archive, manifest) pair of each set, deterministic given the seed."""
+    return {domain: generate_domain(cfg, domain, seed) for domain in SETS}
 
 
 # ---------------------------------------------------------------------------

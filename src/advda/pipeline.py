@@ -198,24 +198,11 @@ def _set_paths(cfg: ExperimentConfig, name: str):
 
 def cmd_synth(cfg: ExperimentConfig) -> dict:
     """Generate source, adaptation-target and evaluation archives + trials."""
-    sets = {name: _set_paths(cfg, name)
-            for name in ("source", "target", "eval")}
+    sets = {name: _set_paths(cfg, name) for name in cp.SETS}
     trials_path = cfg.path("trials.txt")
     outputs = [*sum(sets.values(), ()), trials_path]
     with _stage(cfg, "synth", [], outputs):
         data = cp.generate_corpus(cfg.corpus, cfg.seed)
-        # evaluation set: fresh target-domain speakers under the same shift
-        eval_corpus = dataclasses.replace(
-            cfg.corpus, target_speakers=cfg.corpus.eval_speakers,
-            target_utts_per_speaker=cfg.corpus.eval_utts_per_speaker)
-        archive, records = cp.generate_domain(eval_corpus, "target",
-                                              cfg.seed + 1000)
-        data["eval"] = (
-            {u.replace("tgt-", "ev-", 1): fr for u, fr in archive.items()},
-            [cp.ManifestRecord(r.utt_id.replace("tgt-", "ev-", 1),
-                               r.speaker_id.replace("tgt-", "ev-", 1),
-                               r.domain, r.language, r.frames)
-             for r in records])
         for name, (xvf, tsv) in sets.items():
             archive, records = data[name]
             cp.write_archive(xvf, archive)
@@ -333,9 +320,8 @@ def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
 
 def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> dict:
     """Extract embeddings for the source, target and eval sets."""
-    names = ("source", "target", "eval")
-    sets = [_set_paths(cfg, name) for name in names]
-    outputs = [cfg.path(f"emb_{name}_{tag}.xvf") for name in names]
+    sets = [_set_paths(cfg, name) for name in cp.SETS]
+    outputs = [cfg.path(f"emb_{name}_{tag}.xvf") for name in cp.SETS]
     with _stage(cfg, f"extract_{tag}", [checkpoint, *sum(sets, ())], outputs):
         params = net.load_checkpoint(checkpoint)
         for paths, out in zip(sets, outputs):
