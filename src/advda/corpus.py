@@ -53,7 +53,8 @@ class CorpusConfig:
     # the target map, the same for every corpus seed (shift seed 0)
     shift_rotation: float = 0.5
     shift_offset: float = 1.5
-    # half the target speakers get a second language tag and map
+    # half the target and half the eval speakers get a second language
+    # tag and map, the same map for both sets (shift seed: corpus seed + 1)
     second_language: bool = False
     augment_copies: int = at_least(0, default=0)
     augment_scale: float = at_least(0, default=0.1)
@@ -80,7 +81,8 @@ def make_domain_shift(frame_dim: int, rotation: float = 0.5,
 
 
 # each set's id prefix, RNG stream code and seed offset: the eval set
-# draws fresh speakers from the target's stream under a later seed
+# draws fresh speakers from the target's stream under a later seed, and
+# under the target's language maps
 SETS = {"source": ("src", 0, 0), "target": ("tgt", 1, 0),
         "eval": ("ev", 1, 1000)}
 
@@ -102,8 +104,7 @@ def generate_domain(cfg: CorpusConfig, domain: str, seed: int):
         shift_a, shift_b = make_domain_shift(m, cfg.shift_rotation,
                                              cfg.shift_offset, seed=0)
     if cfg.second_language and shifted:
-        a2, b2 = make_domain_shift(m, rotation=0.7, offset=1.5,
-                                   seed=set_seed + 1)
+        a2, b2 = make_domain_shift(m, rotation=0.7, offset=1.5, seed=seed + 1)
     archive = {}
     records = []
     lo, hi = cfg.frames_range

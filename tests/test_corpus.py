@@ -164,6 +164,38 @@ def test_second_language_split():
     assert n2 == 3
 
 
+def test_generate_corpus_sets():
+    # the eval set has its own ids and counts, and target-domain records
+    # (extraction reads the domain bit from that column)
+    cfg = small_corpus(eval_speakers=4, eval_utts_per_speaker=2,
+                       second_language=True)
+    corpus = cp.generate_corpus(cfg, 7)
+    assert list(corpus) == ["source", "target", "eval"]
+    archive, records = corpus["eval"]
+    assert len(records) == len(archive) == 4 * 2
+    assert {r.domain for r in records} == {"target"}
+    assert {r.language for r in records} == {"lang1", "lang2"}
+    assert all(r.utt_id.startswith("ev-") and r.speaker_id.startswith(
+        "ev-spk") for r in records)
+
+
+def test_eval_set_shares_the_target_language_maps():
+    # with no speaker, channel or frame noise every frame is its
+    # language's offset, which the target and eval sets must share
+    cfg = small_corpus(eval_speakers=4, eval_utts_per_speaker=2,
+                       second_language=True, speaker_scale=0.0,
+                       channel_scale=0.0, noise_scale=0.0)
+    corpus = cp.generate_corpus(cfg, 1)
+    offsets = {}
+    for name in ("target", "eval"):
+        archive, records = corpus[name]
+        for r in records:
+            offset = offsets.setdefault(r.language, archive[r.utt_id][0])
+            assert (archive[r.utt_id] == offset).all(), (name, r.utt_id)
+    assert set(offsets) == {"lang1", "lang2"}
+    assert not np.array_equal(offsets["lang1"], offsets["lang2"])
+
+
 def test_augmentation_copies_preserve_labels():
     cfg = small_corpus(augment_copies=2, augment_scale=0.05)
     archive, records = cp.generate_domain(cfg, "source", 7)
