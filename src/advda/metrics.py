@@ -220,14 +220,14 @@ def min_dcf_from_scores(tgt: np.ndarray, non: np.ndarray,
 
 def evaluation_report(scores: ScoreSet, trials: TrialList,
                       priors=(0.01, 0.005)) -> dict:
-    """EER plus minDCF at both operating points and their average."""
+    """EER plus minDCF at each prior, keyed by the prior's digits (0.01 ->
+    `min_dcf_001`), and their average."""
     tgt, non = _split_scores(scores, trials)
-    d1 = min_dcf_from_scores(tgt, non, priors[0])
-    d2 = min_dcf_from_scores(tgt, non, priors[1])
+    d1, d2 = dcfs = [min_dcf_from_scores(tgt, non, p) for p in priors]
     return {
         "eer_pct": eer_from_scores(tgt, non),
-        "min_dcf_001": d1,
-        "min_dcf_0005": d2,
+        **{"min_dcf_" + np.format_float_positional(p).replace(".", ""): d
+           for p, d in zip(priors, dcfs)},
         "dcf_avg": 0.5 * (d1 + d2),
     }
 

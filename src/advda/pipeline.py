@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -78,12 +79,14 @@ class ExperimentConfig:
     train_adapt: dict = field(default_factory=dict)
     backend: be.BackendConfig = field(default_factory=be.BackendConfig)
     trials: TrialsSection = field(default_factory=TrialsSection)
-    # the report gives one minDCF for each of the two priors
+    # the report gives one minDCF for each of the two priors, named by it
     priors: tuple[float, float] = within(0, 1, default=(0.01, 0.005),
                                          open=True)
 
     def __post_init__(self):
         check(self)
+        if self.priors[0] == self.priors[1]:
+            raise ValueError(f"priors must differ, got {list(self.priors)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -217,29 +220,32 @@ def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
     by_speaker = {}
     for r in records:
         by_speaker.setdefault(r.speaker_id, []).append(r.utt_id)
-    enroll, test = [], []
-    for spk in sorted(by_speaker):
-        utts = by_speaker[spk]
-        for i in range(len(utts)):
-            for j in range(i + 1, len(utts)):
-                enroll.append(utts[i])
-                test.append(utts[j])
+    groups = [by_speaker[spk] for spk in sorted(by_speaker)]
+    pairs = [p for utts in groups for p in itertools.combinations(utts, 2)]
+    enroll, test = [e for e, _ in pairs], [t for _, t in pairs]
     n_target = len(enroll)
-    wanted = nontarget_per_target * n_target
-    n_non = wanted
-    rng = np.random.default_rng([seed, 99])
-    speakers = sorted(by_speaker)
-    if n_non > 0 and len(speakers) < 2:
+    wanted = n_non = nontarget_per_target * n_target
+    if n_non > 0 and len(groups) < 2:
         raise ValueError(f"nontarget trials need at least 2 eval speakers, "
-                         f"got {len(speakers)}")
-    seen = set(zip(enroll, test))
+                         f"got {len(groups)}")
+    # unordered cross-speaker pairs: (N^2 - sum of n_s^2) / 2
+    sizes = [len(utts) for utts in groups]
+    available = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
+    if wanted > available:
+        raise ValueError(
+            f"trials.nontarget_per_target={nontarget_per_target} asks for "
+            f"{wanted} nontarget trials, but only {available} distinct "
+            f"cross-speaker pairs exist; lower it or add eval speakers")
+    # equally likely pairs take at most about wanted * (ln(available) + 1)
+    # draws on average (coupon collector); the budget leaves a wide margin
+    budget = 200000 + int(wanted * (np.log1p(available) + 20))
+    rng = np.random.default_rng([seed, 99])
+    seen = set(pairs)
     attempts = 0
-    while n_non > 0 and attempts < 200000:
-        s1, s2 = rng.choice(len(speakers), size=2, replace=False)
-        u1 = by_speaker[speakers[s1]][rng.integers(
-            0, len(by_speaker[speakers[s1]]))]
-        u2 = by_speaker[speakers[s2]][rng.integers(
-            0, len(by_speaker[speakers[s2]]))]
+    while n_non > 0 and attempts < budget:
+        s1, s2 = rng.choice(len(groups), size=2, replace=False)
+        u1 = groups[s1][rng.integers(0, len(groups[s1]))]
+        u2 = groups[s2][rng.integers(0, len(groups[s2]))]
         if (u1, u2) not in seen and (u2, u1) not in seen:
             seen.add((u1, u2))
             enroll.append(u1)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from advda import cli
 from advda import corpus as cp
+from advda import metrics as mt
 from advda import network as net
 from advda import pipeline as pl
 from advda import trainer as tr
@@ -117,6 +118,7 @@ def test_config_rejects_bad_section_values():
     ({"priors": ["0.5", 0.1]}, r"priors\[0\]='0\.5'"),
     ({"priors": 0.5}, "priors: expected a list of two"),
     ({"priors": [0.5]}, "priors: expected a list of two"),
+    ({"priors": [0.05, 0.05]}, r"priors must differ, got \[0\.05, 0\.05\]"),
     ({"corpus": {"frames_range": 30}}, "corpus: frames_range"),
     ({"corpus": {"frames_range": [9, 3]}}, "corpus: frames_range"),
     ({"corpus": {"frames_range": [3, 9]}},
@@ -294,12 +296,24 @@ def test_make_trials_deterministic():
 
 
 def test_make_trials_never_comes_up_short():
-    # 150 x 12 at 25 nontargets per target needs more distinct pairs than
-    # the draw budget finds
+    # 3 speakers x 2 utterances have 12 cross-speaker pairs; 5 nontargets
+    # for each of the 3 targets ask for 15, refused from the count alone
     records = [cp.ManifestRecord(f"u{s}-{u}", f"spk{s}", "target", "l", 20)
-               for s in range(150) for u in range(12)]
-    with pytest.raises(ValueError, match="trials.nontarget_per_target"):
-        pl.make_trials(records, nontarget_per_target=25, seed=0)
+               for s in range(3) for u in range(2)]
+    with pytest.raises(ValueError, match=r"trials.nontarget_per_target=5 "
+                       r"asks for 15 .* only 12 distinct"):
+        pl.make_trials(records, nontarget_per_target=5, seed=0)
+
+
+def test_make_trials_can_take_every_cross_speaker_pair():
+    records = [cp.ManifestRecord(f"u{s}-{u}", f"spk{s}", "target", "l", 20)
+               for s in range(3) for u in range(2)]
+    trials = pl.make_trials(records, nontarget_per_target=4, seed=0)
+    pairs = {frozenset(p) for p, target in zip(
+        zip(trials.enroll, trials.test), trials.target) if not target}
+    assert (~trials.target).sum() == len(pairs) == 12
+    speaker = {r.utt_id: r.speaker_id for r in records}
+    assert all(speaker[a] != speaker[b] for a, b in pairs)
 
 
 def test_make_trials_single_speaker():
@@ -362,6 +376,23 @@ def test_cmd_eval_hand_built_example(tmp_path):
     assert report["min_dcf_001"] == 0.0
     on_disk = read_json(cfg.path("report_demo.json"))
     assert on_disk == report
+
+
+def test_cmd_eval_names_dcfs_after_the_configured_priors(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        {**desk_config_dict(tmp_path), "priors": [0.05, 0.5]})
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(cfg.path("trials.txt"), "w") as f:
+        f.write("e1 t1 target\ne2 t2 target\n"
+                "e1 t2 nontarget\ne2 t1 nontarget\n")
+    with open(cfg.path("scores_demo.txt"), "w") as f:
+        f.write("e1 t1 3.0\ne2 t2 -3.0\ne1 t2 -1.0\ne2 t1 -2.0\n")
+    report = pl.cmd_eval(cfg, "demo")
+    assert set(report) == {"eer_pct", "min_dcf_005", "min_dcf_05",
+                           "dcf_avg"}
+    tgt, non = np.array([3.0, -3.0]), np.array([-1.0, -2.0])
+    for key, p in (("min_dcf_005", 0.05), ("min_dcf_05", 0.5)):
+        assert report[key] == mt.min_dcf_from_scores(tgt, non, p)
 
 
 def test_cmd_eval_rejects_score_file_missing_a_trial(tmp_path):
