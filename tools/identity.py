@@ -26,12 +26,14 @@ Stage outputs depend on the number of BLAS threads, so the pass sets
 `OPENBLAS_NUM_THREADS=1` before numpy loads and records the count the
 library reports.  `--against DIR` reads the `digests.txt` of an earlier
 pass, prints each output whose digest differs or which only one pass
-has, and exits with status 1 if there is any.
+has, and exits with status 1 if there is any.  It also prints each
+`metrics.tsv` row that differs, every value as `<DIR's> -> <this pass's>`
+(`-` where a pass has no such row).
 
 Protocol for a change that must keep every output: run
 `--seeds 1 2 3` in a copy of the parent commit, then the same seeds in
 the change with `--against` the parent's OUT; report every differing
-output it names, and the two `metrics.tsv` tables if any differ.
+output it names, and the `metrics differ` rows it prints, if any.
 """
 
 import os
@@ -84,6 +86,14 @@ def run_workload(workload, seed, out_dir):
 def sha256(path):
     with open(path, "rb") as f:
         return hashlib.file_digest(f, "sha256").hexdigest()
+
+
+def read_metrics(path):
+    """(workload, seed, report) -> {column: value} of a metrics.tsv."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split("\t")
+        rows = [line.rstrip("\n").split("\t") for line in f if line.strip()]
+    return {tuple(r[:3]): dict(zip(header[3:], r[3:])) for r in rows}
 
 
 def read_digests(path):
@@ -145,6 +155,14 @@ def main():
         print(f"differs: {p}")
     print(f"{len(differ)} of {len(digests.keys() | theirs.keys())} "
           f"outputs differ from {args.against}")
+    mine = read_metrics(os.path.join(args.out, "metrics.tsv"))
+    before = read_metrics(os.path.join(args.against, "metrics.tsv"))
+    for key in sorted(mine.keys() | before.keys()):
+        old, new = before.get(key, {}), mine.get(key, {})
+        if old != new:
+            print("metrics differ: " + " ".join(key) + "".join(
+                f"\t{col} {old.get(col, '-')} -> {new.get(col, '-')}"
+                for col in dict.fromkeys([*old, *new])))
     return 1 if differ else 0
 
 
