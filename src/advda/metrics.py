@@ -223,13 +223,10 @@ def evaluation_report(scores: ScoreSet, trials: TrialList,
     """EER plus minDCF at each prior, keyed by the prior's digits (0.01 ->
     `min_dcf_001`), and their average."""
     tgt, non = _split_scores(scores, trials)
-    d1, d2 = dcfs = [min_dcf_from_scores(tgt, non, p) for p in priors]
-    return {
-        "eer_pct": eer_from_scores(tgt, non),
-        **{"min_dcf_" + np.format_float_positional(p).replace(".", ""): d
-           for p, d in zip(priors, dcfs)},
-        "dcf_avg": 0.5 * (d1 + d2),
-    }
+    dcfs = {"min_dcf_" + np.format_float_positional(p).replace(".", ""):
+            min_dcf_from_scores(tgt, non, p) for p in priors}
+    return {"eer_pct": eer_from_scores(tgt, non), **dcfs,
+            "dcf_avg": 0.5 * sum(dcfs.values())}
 
 
 def write_report(path, report: dict) -> None:

@@ -43,7 +43,7 @@ def test_make_domain_shift_well_conditioned():
 def test_generation_deterministic():
     c1 = cp.generate_corpus(small_corpus(), 7)
     c2 = cp.generate_corpus(small_corpus(), 7)
-    for domain in ("source", "target"):
+    for domain in ("source", "target", "eval"):
         a1, m1 = c1[domain]
         a2, m2 = c2[domain]
         assert m1 == m2

@@ -382,20 +382,6 @@ def test_evaluation_report_fields_and_average(rng, tmp_path):
     assert json.loads(path.read_text()) == pytest.approx(report)
 
 
-def test_evaluation_report_names_dcfs_after_their_priors(rng):
-    tgt = rng.normal(loc=1.0, size=50)
-    non = rng.normal(loc=-1.0, size=200)
-    trials = trial_list(*[(f"e{i}", f"t{i}", True) for i in range(50)],
-                        *[(f"ne{i}", f"nt{i}", False) for i in range(200)])
-    scores = ScoreSet(trials.enroll, trials.test, np.concatenate([tgt, non]))
-    report = mx.evaluation_report(scores, trials, priors=(0.2, 0.0001))
-    assert set(report) == {"eer_pct", "min_dcf_02", "min_dcf_00001",
-                           "dcf_avg"}
-    assert report["min_dcf_02"] == mx.min_dcf_from_scores(tgt, non, 0.2)
-    assert report["min_dcf_00001"] == mx.min_dcf_from_scores(tgt, non,
-                                                             0.0001)
-
-
 def test_report_independent_of_score_file_order(rng, tmp_path):
     n = 300
     trials = trial_list(*[(f"e{i % 40}", f"t{i}", i % 3 == 0)
