@@ -226,7 +226,7 @@ def evaluation_report(scores: ScoreSet, trials: TrialList,
     dcfs = {"min_dcf_" + np.format_float_positional(p).replace(".", ""):
             min_dcf_from_scores(tgt, non, p) for p in priors}
     return {"eer_pct": eer_from_scores(tgt, non), **dcfs,
-            "dcf_avg": 0.5 * sum(dcfs.values())}
+            "dcf_avg": sum(dcfs.values()) / len(dcfs)}
 
 
 def write_report(path, report: dict) -> None:
