@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from advda import cli
 from advda import corpus as cp
-from advda import metrics as mt
 from advda import network as net
 from advda import pipeline as pl
 from advda import trainer as tr
@@ -118,7 +117,6 @@ def test_config_rejects_bad_section_values():
     ({"priors": ["0.5", 0.1]}, r"priors\[0\]='0\.5'"),
     ({"priors": 0.5}, "priors: expected a list of two"),
     ({"priors": [0.5]}, "priors: expected a list of two"),
-    ({"priors": [0.05, 0.05]}, r"priors must differ, got \[0\.05, 0\.05\]"),
     ({"corpus": {"frames_range": 30}}, "corpus: frames_range"),
     ({"corpus": {"frames_range": [9, 3]}}, "corpus: frames_range"),
     ({"corpus": {"frames_range": [3, 9]}},
@@ -171,6 +169,7 @@ def test_config_rejects_bad_section_values():
      "corpus: shift_offset must be finite, got nan"),
     ({"network": {"leaky_slope": float("inf")}},
      "network: leaky_slope must be finite, got inf"),
+    ({"priors": [0.05, 0.05]}, r"priors must differ, got \[0\.05, 0\.05\]"),
 ])
 def test_config_rejects_inconsistent_sections(data, match):
     with pytest.raises(ConfigError, match=match):
@@ -383,16 +382,17 @@ def test_cmd_eval_names_dcfs_after_the_configured_priors(tmp_path):
         {**desk_config_dict(tmp_path), "priors": [0.05, 0.5]})
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(cfg.path("trials.txt"), "w") as f:
-        f.write("e1 t1 target\ne2 t2 target\n"
+        f.write("e1 t1 target\ne2 t2 target\ne3 t3 target\n"
                 "e1 t2 nontarget\ne2 t1 nontarget\n")
     with open(cfg.path("scores_demo.txt"), "w") as f:
-        f.write("e1 t1 3.0\ne2 t2 -3.0\ne1 t2 -1.0\ne2 t1 -2.0\n")
+        f.write("e1 t1 3.0\ne2 t2 2.0\ne3 t3 0.0\n"
+                "e1 t2 2.5\ne2 t1 -1.0\n")
     report = pl.cmd_eval(cfg, "demo")
     assert set(report) == {"eer_pct", "min_dcf_005", "min_dcf_05",
                            "dcf_avg"}
-    tgt, non = np.array([3.0, -3.0]), np.array([-1.0, -2.0])
-    for key, p in (("min_dcf_005", 0.05), ("min_dcf_05", 0.5)):
-        assert report[key] == mt.min_dcf_from_scores(tgt, non, p)
+    # the two priors give different costs, so a swap would show
+    assert report["min_dcf_005"] == pytest.approx(2 / 3)
+    assert report["min_dcf_05"] == pytest.approx(0.5)
 
 
 def test_cmd_eval_rejects_score_file_missing_a_trial(tmp_path):
