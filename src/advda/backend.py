@@ -173,16 +173,13 @@ def plda_train_em(vectors: np.ndarray, labels,
     return PldaModel(mu=mu, between=between, within=within)
 
 
-def _diagonalize(model: PldaModel):
-    """Transform T with T W T' = I and T B T' = diag(psi)."""
-    w_evals, w_evecs = np.linalg.eigh(_sym(model.within))
-    w_evals = np.maximum(w_evals, EIG_FLOOR)
-    whiten = w_evecs @ np.diag(w_evals ** -0.5) @ w_evecs.T
-    b_w = _sym(whiten @ model.between @ whiten.T)
-    psi, u = np.linalg.eigh(b_w)
-    psi = np.maximum(psi, 0.0)
-    t = u.T @ whiten
-    return t, psi
+def _joint_diagonalize(a, b):
+    """(T, v) with T a T' = I (a's eigenvalues floored at `EIG_FLOOR`) and
+    T b T' = diag(v)."""
+    evals, evecs = np.linalg.eigh(_sym(a))
+    whiten = evecs @ np.diag(np.maximum(evals, EIG_FLOOR) ** -0.5) @ evecs.T
+    v, u = np.linalg.eigh(_sym(whiten @ b @ whiten.T))
+    return u.T @ whiten, v
 
 
 class PldaScorer:
@@ -192,7 +189,8 @@ class PldaScorer:
         if model.mu.shape[0] != model.between.shape[0]:
             raise ValueError("model dimension mismatch")
         self.model = model
-        self.t, self.psi = _diagonalize(model)
+        self.t, psi = _joint_diagonalize(model.within, model.between)
+        self.psi = np.maximum(psi, 0.0)
 
     def score(self, enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
         """Row-wise LLRs for paired (n, r) enroll and test arrays."""
@@ -218,7 +216,7 @@ def plda_adapt(model: PldaModel, vectors: np.ndarray,
     """Redistribute the adaptation data's excess variance into the model.
 
     In the basis where the model's total covariance is identity and the
-    adaptation covariance diagonal, each direction with observed variance
+    adaptation covariance diagonal, each axis with observed variance
     v > 1 contributes excess e = v - 1: xi*e is added to the
     between-class diagonal and eta*e to the within-class diagonal.
     """
@@ -231,12 +229,8 @@ def plda_adapt(model: PldaModel, vectors: np.ndarray,
     if vectors.shape[0] < r:
         # too few vectors for a stable full covariance: shrink to diagonal
         cov = 0.9 * cov + 0.1 * np.diag(np.diag(cov))
-    total = _sym(model.between + model.within)
-    t_evals, t_evecs = np.linalg.eigh(total)
-    t_evals = np.maximum(t_evals, EIG_FLOOR)
-    whiten = t_evecs @ np.diag(t_evals ** -0.5) @ t_evecs.T
-    v, u = np.linalg.eigh(_sym(whiten @ cov @ whiten.T))
-    t = u.T @ whiten          # T total T' = I, T cov T' = diag(v)
+    # T (B + W) T' = I, T cov T' = diag(v)
+    t, v = _joint_diagonalize(model.between + model.within, cov)
     t_inv = np.linalg.inv(t)
     excess = np.maximum(v - 1.0, 0.0)
     b_t = t @ model.between @ t.T + cfg.xi * np.diag(excess)
