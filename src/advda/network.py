@@ -90,6 +90,18 @@ def _add_bn(ps, name, dim):
     ps.add(f"{name}.rvar", np.ones(dim), trainable=False)
 
 
+def _affine(ps, name, x):
+    """Graph twin of `_add_affine`: x W' + b."""
+    return ad.affine(x, ad.param(ps, f"{name}.W"), ad.param(ps, f"{name}.b"))
+
+
+def _bn(ps, name, x, training, cfg):
+    """Graph twin of `_add_bn`: batch norm with the layer's running stats."""
+    return ad.batch_norm(x, ad.param(ps, f"{name}.gamma"),
+                         ad.param(ps, f"{name}.beta"), ps, f"{name}.rmean",
+                         f"{name}.rvar", training, cfg.bn_momentum, cfg.bn_eps)
+
+
 def init_network(config: NetworkConfig, seed: int) -> NetworkParams:
     """Deterministic parameter initialization for a given seed."""
     rng = np.random.default_rng(seed)
@@ -178,44 +190,28 @@ def build_embedding_batch(params: NetworkParams, frames: Node, counts, bits,
     for i, ctx in enumerate(cfg.tdnn_contexts):
         x = ad.splice(x, ctx, counts,
                       frame_bits if cfg.use_domain_bit else None)
-        x = ad.affine(x, ad.param(ext, f"tdnn{i}.W"),
-                      ad.param(ext, f"tdnn{i}.b"))
-        x = ad.relu(x)
-        x = ad.batch_norm(x, ad.param(ext, f"tdnn{i}.gamma"),
-                          ad.param(ext, f"tdnn{i}.beta"), ext,
-                          f"tdnn{i}.rmean", f"tdnn{i}.rvar", training,
-                          cfg.bn_momentum, cfg.bn_eps)
+        x = ad.relu(_affine(ext, f"tdnn{i}", x))
+        x = _bn(ext, f"tdnn{i}", x, training, cfg)
     x = ad.stats_pool(x, counts=counts)
     if cfg.use_domain_bit:
         x = ad.concat([x, utt_bits], axis=1)
-    return ad.affine(x, ad.param(ext, "embed.W"), ad.param(ext, "embed.b"))
+    return _affine(ext, "embed", x)
 
 
 def classifier_trunk(params: NetworkParams, h: Node,
                      training: bool) -> Node:
     """Post-pool layers shared by both heads, from embeddings (n, d)."""
-    cfg = params.config
-    hp = params.heads
-    x = ad.relu(h)
-    x = ad.batch_norm(x, ad.param(hp, "post0.gamma"),
-                      ad.param(hp, "post0.beta"), hp,
-                      "post0.rmean", "post0.rvar", training,
-                      cfg.bn_momentum, cfg.bn_eps)
-    x = ad.affine(x, ad.param(hp, "post1.W"), ad.param(hp, "post1.b"))
-    x = ad.relu(x)
-    return ad.batch_norm(x, ad.param(hp, "post1.gamma"),
-                         ad.param(hp, "post1.beta"), hp,
-                         "post1.rmean", "post1.rvar", training,
-                         cfg.bn_momentum, cfg.bn_eps)
+    cfg, hp = params.config, params.heads
+    x = _bn(hp, "post0", ad.relu(h), training, cfg)
+    x = ad.relu(_affine(hp, "post1", x))
+    return _bn(hp, "post1", x, training, cfg)
 
 
 def classifier_head(params: NetworkParams, x: Node, head: str) -> Node:
     """Speaker logits of the source or target head from trunk output."""
     if head not in ("source", "target"):
         raise ValueError(f"unknown head {head!r}")
-    hp = params.heads
-    return ad.affine(x, ad.param(hp, f"head_{head}.W"),
-                     ad.param(hp, f"head_{head}.b"))
+    return _affine(params.heads, f"head_{head}", x)
 
 
 def build_classifier(params: NetworkParams, h: Node, head: str,
