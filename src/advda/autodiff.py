@@ -610,14 +610,11 @@ def update_running_stats(root: Node) -> None:
             state.set_value(name, m * state.value(name) + (1 - m) * batch)
 
 
-def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], rate: float,
-             direction: str = "descend") -> ParamSet:
-    """In-place plain SGD step; returns `params`. Frozen params untouched."""
+def sgd_step(params: ParamSet, grads: dict[str, np.ndarray],
+             rate: float) -> ParamSet:
+    """In-place SGD descent step; returns `params`. Frozen params untouched."""
     if rate < 0:
         raise GraphError("learning rate must be non-negative")
-    if direction not in ("ascend", "descend"):
-        raise GraphError(f"unknown direction {direction!r}")
-    sign = 1.0 if direction == "ascend" else -1.0
     for name, g in grads.items():
         if name not in params or not params.is_trainable(name):
             raise GraphError(f"gradient for non-trainable param {name!r}")
@@ -625,7 +622,7 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], rate: float,
         g = _as_f64(g)
         if g.shape != v.shape:
             raise GraphError(f"gradient shape mismatch for {name!r}")
-        new = v + sign * rate * g
+        new = v - rate * g
         if not np.all(np.isfinite(new)):
             raise NonFiniteError(f"non-finite value in parameter {name!r}")
         params.set_value(name, new)

@@ -110,7 +110,7 @@ class ExperimentConfig:
         if 0 < train_adapt.epochs <= train_adapt.warmup_epochs:
             raise ConfigError("train_adapt.warmup_epochs must be less than "
                               "train_adapt.epochs")
-        # LDA finds at most one direction fewer than there are classes
+        # LDA finds at most one dimension fewer than there are classes
         for key, bound in (("network.embed_dim", network.embed_dim),
                            ("corpus.source_speakers-1",
                             self.corpus.source_speakers - 1)):
@@ -310,7 +310,7 @@ def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
         if tcfg.supervised_target:
             if cfg.backend.pseudo_threshold is not None:
                 target_labels = tr.pseudo_label_utterances(
-                    params, tgt_feats, cfg.backend.pseudo_threshold, bit=1)
+                    params, tgt_feats, cfg.backend.pseudo_threshold)
                 net.resize_target_head(params,
                                        len(set(target_labels.values())),
                                        seed=cfg.seed)
@@ -426,9 +426,7 @@ def cmd_report(cfg: ExperimentConfig) -> dict:
         if not rows:
             raise FileNotFoundError("no per-mode reports found; run eval "
                                     "first")
-        with open(out, "w") as f:
-            json.dump(rows, f, indent=2, sort_keys=True)
-            f.write("\n")
+        mt.write_report(out, rows)
     return rows
 
 

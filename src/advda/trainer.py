@@ -1,11 +1,11 @@
 """Minimax adaptation training loop with gradient-penalized critic.
 
-One outer iteration: embed a source and a target minibatch, run n ascent
-steps on the critic objective L_wd - gamma * L_grad, then one descent
-step on the classifier heads and the (non-frozen) extractor against
-L_c + delta * L_wd.  Early warm-up epochs train only the critic and the
-source classifier.  Plain SGD throughout, rates halved on a fixed epoch
-schedule.
+One outer iteration: embed a source and a target minibatch, run n critic
+steps, each a descent step on the negated critic objective
+-(L_wd - gamma * L_grad), then one descent step on the classifier heads
+and the (non-frozen) extractor against L_c + delta * L_wd.  Early warm-up
+epochs train only the critic and the source classifier.  Plain SGD
+descent throughout, rates halved on a fixed epoch schedule.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class TrainConfig:
     gamma: float = at_least(0, default=10.0)  # gradient-penalty weight
     # adversarial weight in the extractor loss
     delta: float = at_least(0, default=0.1)
-    rate_critic: float = at_least(0, default=0.001)  # critic ascent rate
+    rate_critic: float = at_least(0, default=0.001)  # critic step rate
     # classifier/extractor descent rate
     rate_main: float = at_least(0, default=1.0)
     # inner critic iterations per outer step
@@ -164,7 +164,8 @@ def gradient_penalty_graph(params: NetworkParams, hhat: ad.Node) -> ad.Node:
 
 def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
                 cfg: TrainConfig, rate: float, rng):
-    """One ascent step on the critic objective; returns (l_wd, l_grad).
+    """One critic step, which raises the objective L_wd - gamma * L_grad
+    by descending on its negation; returns (l_wd, l_grad).
 
     Embeddings are plain arrays already produced by the current
     extractor; only the critic parameters change.
@@ -173,10 +174,10 @@ def critic_step(params: NetworkParams, hs: np.ndarray, ht: np.ndarray,
     hhat = np.concatenate([hs, ht, interp], axis=0)
     l_wd = critic_gap_graph(params, ad.const(hs), ad.const(ht))
     l_grad = gradient_penalty_graph(params, ad.const(hhat))
-    objective = ad.sub(l_wd, ad.scale(l_grad, cfg.gamma))
-    ad.evaluate(objective)
-    grads = ad.backward(objective, params.critic)
-    ad.sgd_step(params.critic, grads, rate, "ascend")
+    # negated outside the difference: backward sums in the same order
+    loss = ad.scale(ad.sub(l_wd, ad.scale(l_grad, cfg.gamma)), -1.0)
+    ad.evaluate(loss)
+    ad.sgd_step(params.critic, ad.backward(loss, params.critic), rate)
     return float(l_wd.value), float(l_grad.value)
 
 
@@ -205,8 +206,8 @@ def _descend(params: NetworkParams, loss: ad.Node, rate: float) -> None:
     ad.evaluate(loss, reset=False)
     ad.update_running_stats(loss)
     g_heads, g_ext = ad.backward(loss, [params.heads, params.extractor])
-    ad.sgd_step(params.heads, g_heads, rate, "descend")
-    ad.sgd_step(params.extractor, g_ext, rate, "descend")
+    ad.sgd_step(params.heads, g_heads, rate)
+    ad.sgd_step(params.extractor, g_ext, rate)
 
 
 def main_step(params: NetworkParams, batch: Minibatch, emb: ad.Node,
@@ -283,11 +284,11 @@ def pseudo_label(embeddings: np.ndarray, stop_threshold: float) -> np.ndarray:
 
 
 def pseudo_label_utterances(params: NetworkParams, feats: dict,
-                            stop_threshold: float, bit: int = 1) -> dict:
-    """Cluster current-model embeddings of a feature dict into labels."""
+                            stop_threshold: float) -> dict:
+    """Cluster current-model bit-1 (target) embeddings into labels."""
     uids = sorted(feats)
     embs = net.extract_embedding(params, [feats[u] for u in uids],
-                                 [bit] * len(uids))
+                                 [1] * len(uids))
     labels = pseudo_label(embs, stop_threshold)
     return {u: int(l) for u, l in zip(uids, labels)}
 

@@ -634,7 +634,7 @@ def test_sgd_zero_rate_keeps_params():
 def test_sgd_descend_arithmetic():
     ps = ParamSet()
     ps.add("p", np.array([1.0]))
-    ad.sgd_step(ps, {"p": np.array([2.0])}, 0.5, "descend")
+    ad.sgd_step(ps, {"p": np.array([2.0])}, 0.5)
     np.testing.assert_array_equal(ps.value("p"), [0.0])
 
 
@@ -671,13 +671,13 @@ def test_non_finite_values_raise_their_own_error():
     np.testing.assert_array_equal(ps.value("p"), [1.0])
 
 
-def test_ascent_converges_on_concave_objective():
-    # f(p) = -p^2, gradient -2p; ascent from 1.0 at rate 0.1 approaches 0
+def test_descent_converges_on_convex_objective():
+    # f(p) = p^2, gradient 2p; descent from 1.0 at rate 0.1 approaches 0
     ps = ParamSet()
     ps.add("p", np.array([1.0]))
     for _ in range(100):
-        root = ad.scale(ad.sum_(ad.square(ad.param(ps, "p"))), -1.0)
+        root = ad.sum_(ad.square(ad.param(ps, "p")))
         ad.evaluate(root)
         grads = ad.backward(root, ps)
-        ad.sgd_step(ps, grads, 0.1, "ascend")
+        ad.sgd_step(ps, grads, 0.1)
     assert abs(float(ps.value("p")[0])) < 1e-6

@@ -280,6 +280,29 @@ def test_critic_step_touches_only_critic(rng):
     assert param_bytes(params.critic) != critic0
 
 
+def test_critic_step_is_the_exact_ascent_step():
+    # replay the step's draws, then take the gradient of L_wd - gamma *
+    # L_grad as that graph orders it: the step must add rate times it, to
+    # the bit (backward's summation order shows in the last bits)
+    cfg = tiny_train_config(gamma=10.0)
+    for seed in range(20):
+        params = net.init_network(tiny_config(), seed=seed)
+        data = np.random.default_rng([seed, 1])
+        hs, ht = data.normal(size=(6, 8)) + 1.0, data.normal(size=(6, 8))
+        interp = tr.sample_interpolates(hs, ht, np.random.default_rng(seed))
+        hhat = ad.const(np.concatenate([hs, ht, interp]))
+        objective = ad.sub(
+            tr.critic_gap_graph(params, ad.const(hs), ad.const(ht)),
+            ad.scale(tr.gradient_penalty_graph(params, hhat), cfg.gamma))
+        ad.evaluate(objective)
+        grads = ad.backward(objective, params.critic)
+        want = {n: params.critic.value(n) + 0.01 * g for n, g in grads.items()}
+        tr.critic_step(params, hs, ht, cfg, 0.01, np.random.default_rng(seed))
+        for name, value in want.items():
+            np.testing.assert_array_equal(params.critic.value(name), value,
+                                          err_msg=f"seed {seed}, {name}")
+
+
 # ---------------------------------------------------------------------------
 # main step
 
