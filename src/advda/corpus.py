@@ -56,8 +56,6 @@ class CorpusConfig:
     # half the target and half the eval speakers get a second language
     # tag and map, the same map for both sets (shift seed: corpus seed + 1)
     second_language: bool = False
-    augment_copies: int = at_least(0, default=0)
-    augment_scale: float = at_least(0, default=0.1)
 
     def __post_init__(self):
         check(self)
@@ -108,11 +106,10 @@ def generate_domain(cfg: CorpusConfig, domain: str, seed: int):
     archive = {}
     records = []
     lo, hi = cfg.frames_range
-    index = 0
     for s in range(n_spk):
         lang2 = cfg.second_language and shifted and s >= n_spk // 2
         for u in range(n_utt):
-            rng = np.random.default_rng([set_seed, code, index])
+            rng = np.random.default_rng([set_seed, code, s * n_utt + u])
             t = int(rng.integers(lo, hi + 1))
             channel = cfg.channel_scale * rng.standard_normal(m)
             frames = means[s] + channel + cfg.noise_scale * \
@@ -121,18 +118,11 @@ def generate_domain(cfg: CorpusConfig, domain: str, seed: int):
                 frames = frames @ a2.T + b2
             elif shifted:
                 frames = frames @ shift_a.T + shift_b
-            base_id = f"{prefix}-{s:04d}-{u:03d}"
-            versions = [(base_id, frames)]
-            for k in range(cfg.augment_copies):
-                aug = frames + cfg.augment_scale * rng.standard_normal((t, m))
-                versions.append((f"{base_id}-aug{k}", aug))
-            lang = "lang2" if lang2 else ("lang1" if shifted else "lang0")
-            for uid, fr in versions:
-                archive[uid] = fr.astype(np.float32)
-                records.append(ManifestRecord(
-                    uid, f"{prefix}-spk{s:04d}",
-                    "target" if shifted else "source", lang, t))
-            index += 1
+            uid = f"{prefix}-{s:04d}-{u:03d}"
+            archive[uid] = frames.astype(np.float32)
+            records.append(ManifestRecord(
+                uid, f"{prefix}-spk{s:04d}", "target" if shifted else "source",
+                "lang2" if lang2 else ("lang1" if shifted else "lang0"), t))
     return archive, records
 
 

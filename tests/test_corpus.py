@@ -196,20 +196,6 @@ def test_eval_set_shares_the_target_language_maps():
     assert not np.array_equal(offsets["lang1"], offsets["lang2"])
 
 
-def test_augmentation_copies_preserve_labels():
-    cfg = small_corpus(augment_copies=2, augment_scale=0.05)
-    archive, records = cp.generate_domain(cfg, "source", 7)
-    assert len(records) == 8 * 4 * 3
-    by_id = {r.utt_id: r for r in records}
-    for r in records:
-        if "-aug" in r.utt_id:
-            base = by_id[r.utt_id.split("-aug")[0]]
-            assert r.speaker_id == base.speaker_id
-            assert r.frames == base.frames
-            diff = archive[r.utt_id] - archive[base.utt_id]
-            assert 0 < np.abs(diff).max() < 1.0
-
-
 # ---------------------------------------------------------------------------
 # archive I/O
 

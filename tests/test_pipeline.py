@@ -95,6 +95,13 @@ def test_config_rejects_unknown_section_key():
     # periodic checkpoints are gone: the key is rejected, not ignored
     with pytest.raises(ConfigError, match="unknown keys.*checkpoint_every"):
         ExperimentConfig.from_dict({"train_adapt": {"checkpoint_every": 5}})
+    # so are the corpus augmentation keys
+    with pytest.raises(ConfigError,
+                       match=r"corpus: unknown keys \['augment_copies'\]"):
+        ExperimentConfig.from_dict({"corpus": {"augment_copies": 1}})
+    with pytest.raises(ConfigError,
+                       match=r"corpus: unknown keys \['augment_scale'\]"):
+        ExperimentConfig.from_dict({"corpus": {"augment_scale": 0.1}})
 
 
 def test_config_rejects_bad_section_values():
