@@ -218,13 +218,16 @@ def min_dcf_from_scores(tgt: np.ndarray, non: np.ndarray,
     return float(dcf.min() / p_target)
 
 
+def dcf_key(prior: float) -> str:
+    """Report key of the minDCF at a prior: 0.01 gives `min_dcf_001`."""
+    return "min_dcf_" + np.format_float_positional(prior).replace(".", "")
+
+
 def evaluation_report(scores: ScoreSet, trials: TrialList,
                       priors=(0.01, 0.005)) -> dict:
-    """EER plus minDCF at each prior, keyed by the prior's digits (0.01 ->
-    `min_dcf_001`), and their average."""
+    """EER, minDCF at each prior (keyed by `dcf_key`), and their mean."""
     tgt, non = _split_scores(scores, trials)
-    dcfs = {"min_dcf_" + np.format_float_positional(p).replace(".", ""):
-            min_dcf_from_scores(tgt, non, p) for p in priors}
+    dcfs = {dcf_key(p): min_dcf_from_scores(tgt, non, p) for p in priors}
     return {"eer_pct": eer_from_scores(tgt, non), **dcfs,
             "dcf_avg": sum(dcfs.values()) / len(dcfs)}
 

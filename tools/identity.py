@@ -17,7 +17,8 @@ It writes to OUT:
 - `digests.txt`: the sha256 of every output except the stage manifests
   (which hold wall-clock times), one `<digest>  <workload>/seed<k>/<file>`
   line each;
-- `metrics.tsv`: EER and minDCF of every report;
+- `metrics.tsv`: EER and minDCF of every report, one minDCF column per
+  prior of the workload configs (`-` where a workload has no such prior);
 - `env.json`: the BLAS thread count in effect, and the Python and numpy
   versions;
 - `<workload>/seed<k>/`: the run directories themselves, emptied first.
@@ -52,6 +53,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
+from advda import metrics as mt  # noqa: E402
 from advda import pipeline as pl  # noqa: E402
 from run import blas_info  # noqa: E402  (perfbench/run.py)
 from workloads import WORKLOADS  # noqa: E402
@@ -63,7 +65,8 @@ VARIANTS = [(None, "all"), ("sup", "all"), ("adv", "all"),
 
 
 def run_workload(workload, seed, out_dir):
-    """Every stage of one workload and seed, in `out_dir`."""
+    """Every stage of one workload and seed, in `out_dir`; returns the
+    config."""
     cfg = pl.ExperimentConfig.from_dict(
         {**workload.experiment, "seed": seed, "out_dir": out_dir})
     pl.cmd_synth(cfg)
@@ -81,6 +84,7 @@ def run_workload(workload, seed, out_dir):
             pl.cmd_score(cfg, tag, adapted=adapted)
             pl.cmd_eval(cfg, tag, adapted=adapted)
     pl.cmd_report(cfg)
+    return cfg
 
 
 def sha256(path):
@@ -119,31 +123,32 @@ def main():
         f.write("\n")
     print(f"BLAS threads: {env['blas'].get('threads')}")
 
-    digests, rows = {}, []
+    # columns as an ordered set: EER, then each workload's minDCF keys
+    digests, rows, columns = {}, [], {"eer_pct": None}
     for name, workload in WORKLOADS.items():
         for seed in args.seeds:
             rel = f"{name}/seed{seed}"
             run_dir = os.path.join(args.out, rel)
             shutil.rmtree(run_dir, ignore_errors=True)
-            run_workload(workload, seed, run_dir)
+            cfg = run_workload(workload, seed, run_dir)
+            columns.update(dict.fromkeys(map(mt.dcf_key, cfg.priors)))
             for fname in sorted(os.listdir(run_dir)):
                 if not fname.endswith(".manifest.json"):
                     digests[f"{rel}/{fname}"] = sha256(
                         os.path.join(run_dir, fname))
                 if fname.startswith("report_"):
                     with open(os.path.join(run_dir, fname)) as f:
-                        r = json.load(f)
-                    report = fname[len("report_"):-len(".json")]
-                    rows.append(f"{name}\t{seed}\t{report}\t"
-                                f"{r['eer_pct']!r}\t{r['min_dcf_001']!r}\t"
-                                f"{r['min_dcf_0005']!r}")
+                        report = json.load(f)
+                    rows.append((name, str(seed),
+                                 fname[len("report_"):-len(".json")], report))
             print(f"{rel}: done", flush=True)
     with open(os.path.join(args.out, "digests.txt"), "w") as f:
         f.writelines(f"{d}  {p}\n" for p, d in digests.items())
     with open(os.path.join(args.out, "metrics.tsv"), "w") as f:
-        f.write("workload\tseed\treport\teer_pct\tmin_dcf_001"
-                "\tmin_dcf_0005\n")
-        f.writelines(row + "\n" for row in rows)
+        f.write("\t".join(["workload", "seed", "report", *columns]) + "\n")
+        f.writelines("\t".join([*key, *(repr(r[c]) if c in r else "-"
+                                        for c in columns)]) + "\n"
+                     for *key, r in rows)
     print(f"{len(digests)} outputs hashed")
 
     if args.against is None:
