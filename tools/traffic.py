@@ -13,15 +13,14 @@ prints each statement that nothing reached, by file, as
 `<file>:<line>  <source>`; a statement inside an unreached one is not
 listed again.  Seed 1 takes about a minute on a 2-core machine.
 
-Besides raises and the CLI, which the pass does not import, seed 1 left
-these unreached.  They are candidates for deletion or for a test, not
-defects:
+Seed 1 left 154 statements unreached.  Besides raises and the CLI,
+which the pass does not import, they are these.  They are candidates for
+deletion or for a test, not defects:
 
 - `pipeline.run_variant`, which only tests call, and
   `ExperimentConfig.load`, which only the CLI calls;
 - `autodiff.sum_` with axis None, forward and backward;
 - the inference-mode batch-norm backward;
-- the corpus augmentation branch (`augment_copies` > 0);
 - `network.build_embedding`, which only the benchmark's tracer names;
 - `plda_adapt`'s shrinkage for fewer vectors than dimensions;
 - the empty-input returns of `extract_embedding` and `score_trials`.
