@@ -9,7 +9,7 @@ import click
 
 from .pipeline import ExperimentConfig, cmd_adapt, cmd_backend, \
     cmd_backend_adapt, cmd_eval, cmd_extract, cmd_report, cmd_score, \
-    cmd_synth, cmd_train_base
+    cmd_synth, cmd_train_base, run_experiment
 from .trainer import MODES, SCOPES
 
 
@@ -41,6 +41,22 @@ def with_config(command):
 @click.group()
 def main():
     """Adversarial domain adaptation experiments for speaker embeddings."""
+
+
+def echo_table(rows):
+    """Print the comparison table: EER and mean minDCF of each system."""
+    click.echo(f"{'system':<24}{'EER%':>8}{'DCF':>8}")
+    for tag in sorted(rows):
+        r = rows[tag]
+        click.echo(f"{tag:<24}{r['eer_pct']:>8.2f}{r['dcf_avg']:>8.3f}")
+
+
+@main.command()
+@with_config
+def run(cfg):
+    """Run every stage of the baseline and adapted systems and print the
+    comparison table."""
+    echo_table(run_experiment(cfg))
 
 
 @main.command()
@@ -121,12 +137,7 @@ def eval_(cfg, tag, adapted):
 @with_config
 def report(cfg):
     """Collect all per-mode reports into a comparison table."""
-    rows = cmd_report(cfg)
-    header = f"{'system':<24}{'EER%':>8}{'DCF':>8}"
-    click.echo(header)
-    for tag in sorted(rows):
-        r = rows[tag]
-        click.echo(f"{tag:<24}{r['eer_pct']:>8.2f}{r['dcf_avg']:>8.3f}")
+    echo_table(cmd_report(cfg))
 
 
 if __name__ == "__main__":

@@ -141,7 +141,10 @@ class ExperimentConfig:
         return os.path.join(self.out_dir, name)
 
 
-def tag_for(mode: str, scope: str) -> str:
+def tag_for(mode: str | None, scope: str) -> str:
+    """Tag of a system's files; mode None is the unadapted baseline."""
+    if mode is None:
+        return "baseline"
     safe = mode.replace("+", "_")
     return safe if scope == "all" else f"{safe}_postpool"
 
@@ -430,17 +433,27 @@ def cmd_report(cfg: ExperimentConfig) -> dict:
     return rows
 
 
-def run_variant(cfg: ExperimentConfig, mode: str | None,
-                scope: str = "all", backend_adapt: bool = False) -> dict:
-    """Adapt (or reuse the baseline when mode is None), extract, score, eval."""
-    if mode is None:
-        tag, ckpt = "baseline", cfg.path("base.ckpt")
-    else:
+# (mode, scope) of each system of the paper's comparison; mode None is the
+# unadapted baseline
+VARIANTS = ((None, "all"), ("sup", "all"), ("adv", "all"),
+            ("adv+sup", "all"), ("adv+sup", "post-pool"),
+            ("adv+lan+sup", "all"))
+
+
+def run_experiment(cfg: ExperimentConfig, variants=VARIANTS) -> dict:
+    """Every stage of the comparison: synth and train-base; then for each
+    variant its adaptation (none for the baseline), extraction, plain and
+    adapted backend, scores and reports; then `report`, whose rows it
+    returns."""
+    cmd_synth(cfg)
+    base = cmd_train_base(cfg)
+    for mode, scope in variants:
         tag = tag_for(mode, scope)
-        ckpt = cmd_adapt(cfg, mode, scope)
-    cmd_extract(cfg, ckpt, tag)
-    cmd_backend(cfg, tag)
-    if backend_adapt:
+        ckpt = base if mode is None else cmd_adapt(cfg, mode, scope)
+        cmd_extract(cfg, ckpt, tag)
+        cmd_backend(cfg, tag)
         cmd_backend_adapt(cfg, tag)
-    cmd_score(cfg, tag, adapted=backend_adapt)
-    return cmd_eval(cfg, tag, adapted=backend_adapt)
+        for adapted in (False, True):
+            cmd_score(cfg, tag, adapted=adapted)
+            cmd_eval(cfg, tag, adapted=adapted)
+    return cmd_report(cfg)

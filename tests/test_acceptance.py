@@ -220,14 +220,12 @@ def reference_experiment(seed):
                         "rate_main": 0.1, "delta": 0.2},
         "backend": {"lda_dim": 12, "plda_iterations": 8},
     })
-    pl.cmd_synth(cfg)
-    pl.cmd_train_base(cfg)
-    baseline = pl.run_variant(cfg, mode=None)["eer_pct"]
-    adv_sup = pl.run_variant(cfg, mode="adv+sup")["eer_pct"]
+    rows = pl.run_experiment(cfg, [(None, "all"), ("adv+sup", "all"),
+                                   ("adv", "all")])
     log = read_train_log(cfg.path("adapt_adv_sup.log.jsonl"))
-    adv = pl.run_variant(cfg, mode="adv")["eer_pct"]
     warmup_l_wd = log[cfg.train_adapt["warmup_epochs"] - 1]["l_wd"]
-    return baseline, adv_sup, adv, warmup_l_wd, log[-1]["l_wd"]
+    return (rows["baseline"]["eer_pct"], rows["adv_sup"]["eer_pct"],
+            rows["adv"]["eer_pct"], warmup_l_wd, log[-1]["l_wd"])
 
 
 def test_criterion_4_directional_adaptation():
@@ -449,11 +447,8 @@ def test_criterion_10_determinism_and_schedule(rng):
                                 "segment_frames": [10, 14]},
                 "backend": {"lda_dim": 4, "plda_iterations": 5},
             })
-            pl.cmd_synth(cfg)
-            pl.cmd_train_base(cfg)
-            pl.run_variant(cfg, mode=None)
-            pl.run_variant(cfg, mode="adv+sup")
-            reports.append(pl.cmd_report(cfg))
+            reports.append(pl.run_experiment(
+                cfg, [(None, "all"), ("adv+sup", "all")]))
         assert reports[0] == reports[1]
 
         # logged learning rates follow rate * 0.5^floor(epoch / 5)

@@ -68,12 +68,8 @@ def desk_run(tmp_path_factory):
     """One full pipeline run shared by the assertions below."""
     out = tmp_path_factory.mktemp("run")
     cfg = ExperimentConfig.from_dict(desk_config_dict(out))
-    pl.cmd_synth(cfg)
-    pl.cmd_train_base(cfg)
-    base_report = pl.run_variant(cfg, mode=None)
-    adapt_report = pl.run_variant(cfg, mode="adv+sup", backend_adapt=True)
-    rows = pl.cmd_report(cfg)
-    return cfg, base_report, adapt_report, rows
+    rows = pl.run_experiment(cfg, [(None, "all"), ("adv+sup", "all")])
+    return cfg, rows
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +415,7 @@ def test_cmd_eval_rejects_score_file_missing_a_trial(tmp_path):
 
 
 def test_run_produces_all_artifacts(desk_run):
-    cfg, _, _, _ = desk_run
+    cfg, _ = desk_run
     expected = ["base.ckpt", "base.log.jsonl", "adapt_adv_sup.ckpt",
                 "adapt_adv_sup.log.jsonl", "emb_source_baseline.xvf",
                 "emb_eval_adv_sup.xvf", "backend_baseline.advb",
@@ -432,18 +428,19 @@ def test_run_produces_all_artifacts(desk_run):
 
 
 def test_run_reports_are_valid(desk_run):
-    _, base_report, adapt_report, rows = desk_run
-    for report in (base_report, adapt_report):
+    cfg, rows = desk_run
+    assert set(rows) == {"baseline", "baseline_adapted", "adv_sup",
+                         "adv_sup_adapted"}
+    for tag, report in rows.items():
         assert set(report) == {"eer_pct", "min_dcf_001", "min_dcf_0005",
                                "dcf_avg"}
         assert 0.0 <= report["eer_pct"] <= 100.0
         assert 0.0 <= report["min_dcf_001"] <= 1.0 + 1e-12
-    assert rows["baseline"] == pytest.approx(base_report)
-    assert rows["adv_sup_adapted"] == pytest.approx(adapt_report)
+        assert read_json(cfg.path(f"report_{tag}.json")) == report
 
 
 def test_run_manifests_record_digests(desk_run):
-    cfg, _, _, _ = desk_run
+    cfg, _ = desk_run
     manifest = read_json(cfg.path("train_base.manifest.json"))
     assert manifest["inputs"][cfg.path("source.xvf")] == \
         pl._sha256(cfg.path("source.xvf"))
@@ -453,7 +450,7 @@ def test_run_manifests_record_digests(desk_run):
 
 
 def test_run_embeddings_shape(desk_run):
-    cfg, _, _, _ = desk_run
+    cfg, _ = desk_run
     embs = cp.read_archive(cfg.path("emb_eval_adv_sup.xvf"))
     records = cp.read_manifest(cfg.path("eval.tsv"))
     assert sorted(embs) == sorted(r.utt_id for r in records)
@@ -463,18 +460,18 @@ def test_run_embeddings_shape(desk_run):
 
 
 def test_eval_is_idempotent(desk_run):
-    cfg, base_report, _, _ = desk_run
+    cfg, rows = desk_run
     again = pl.cmd_eval(cfg, "baseline")
-    assert again == pytest.approx(base_report)
+    assert again == pytest.approx(rows["baseline"])
 
 
-def test_pseudo_label_variant_runs(desk_run):
-    cfg, _, _, _ = desk_run
-    import copy
-    cfg2 = copy.deepcopy(cfg)
-    cfg2.backend.pseudo_threshold = 0.3
-    report = pl.run_variant(cfg2, mode="adv+sup", scope="post-pool")
-    assert 0.0 <= report["eer_pct"] <= 100.0
+def test_pseudo_label_variant_runs(tmp_path):
+    data = desk_config_dict(tmp_path)
+    data["backend"]["pseudo_threshold"] = 0.3
+    cfg = ExperimentConfig.from_dict(data)
+    rows = pl.run_experiment(cfg, [("adv+sup", "post-pool")])
+    assert set(rows) == {"adv_sup_postpool", "adv_sup_postpool_adapted"}
+    assert 0.0 <= rows["adv_sup_postpool"]["eer_pct"] <= 100.0
     assert os.path.exists(cfg.path("adapt_adv_sup_postpool.ckpt"))
 
 

@@ -2,11 +2,10 @@
 hashed, for comparison with another checkout of the code.
 
 For each seed and each workload config of `perfbench/workloads.py`, the
-pass runs the pipeline's stages in this process, as `advda` would: synth
-and train-base; then the baseline and the adaptation modes `sup`, `adv`,
-`adv+sup`, `adv+sup --scope post-pool` and `adv+lan+sup`, each extracted,
-given the plain and the adapted backend, scored and evaluated; then
-`report`.  Pseudo-eval's config sets `backend.pseudo_threshold`, so its
+pass runs `pipeline.run_experiment` in this process, as `advda run`
+would: every stage of each variant of `pipeline.VARIANTS`, the baseline
+and the five adaptations, with the plain and the adapted backend.
+Pseudo-eval's config sets `backend.pseudo_threshold`, so its
 target-supervised modes train on pseudo-labels.  Usage, from the root of
 a checkout:
 
@@ -58,35 +57,6 @@ from advda import pipeline as pl  # noqa: E402
 from run import blas_info  # noqa: E402  (perfbench/run.py)
 from workloads import WORKLOADS  # noqa: E402
 
-# (mode, scope) of every variant; mode None is the unadapted baseline
-VARIANTS = [(None, "all"), ("sup", "all"), ("adv", "all"),
-            ("adv+sup", "all"), ("adv+sup", "post-pool"),
-            ("adv+lan+sup", "all")]
-
-
-def run_workload(workload, seed, out_dir):
-    """Every stage of one workload and seed, in `out_dir`; returns the
-    config."""
-    cfg = pl.ExperimentConfig.from_dict(
-        {**workload.experiment, "seed": seed, "out_dir": out_dir})
-    pl.cmd_synth(cfg)
-    pl.cmd_train_base(cfg)
-    for mode, scope in VARIANTS:
-        if mode is None:
-            tag, ckpt = "baseline", cfg.path("base.ckpt")
-        else:
-            tag = pl.tag_for(mode, scope)
-            ckpt = pl.cmd_adapt(cfg, mode, scope)
-        pl.cmd_extract(cfg, ckpt, tag)
-        pl.cmd_backend(cfg, tag)
-        pl.cmd_backend_adapt(cfg, tag)
-        for adapted in (False, True):
-            pl.cmd_score(cfg, tag, adapted=adapted)
-            pl.cmd_eval(cfg, tag, adapted=adapted)
-    pl.cmd_report(cfg)
-    return cfg
-
-
 def sha256(path):
     with open(path, "rb") as f:
         return hashlib.file_digest(f, "sha256").hexdigest()
@@ -130,17 +100,15 @@ def main():
             rel = f"{name}/seed{seed}"
             run_dir = os.path.join(args.out, rel)
             shutil.rmtree(run_dir, ignore_errors=True)
-            cfg = run_workload(workload, seed, run_dir)
+            cfg = pl.ExperimentConfig.from_dict(
+                {**workload.experiment, "seed": seed, "out_dir": run_dir})
+            rows.extend((name, str(seed), tag, report) for tag, report
+                        in pl.run_experiment(cfg).items())
             columns.update(dict.fromkeys(map(mt.dcf_key, cfg.priors)))
             for fname in sorted(os.listdir(run_dir)):
                 if not fname.endswith(".manifest.json"):
                     digests[f"{rel}/{fname}"] = sha256(
                         os.path.join(run_dir, fname))
-                if fname.startswith("report_"):
-                    with open(os.path.join(run_dir, fname)) as f:
-                        report = json.load(f)
-                    rows.append((name, str(seed),
-                                 fname[len("report_"):-len(".json")], report))
             print(f"{rel}: done", flush=True)
     with open(os.path.join(args.out, "digests.txt"), "w") as f:
         f.writelines(f"{d}  {p}\n" for p, d in digests.items())

@@ -7,11 +7,12 @@ Usage, from the root of a checkout:
 
 The pass installs a line tracer limited to `src/advda` before `advda` is
 imported, so import-time statements count too.  It then runs every stage
-of every workload config of `perfbench/workloads.py` for each seed, as
-`tools/identity.py` does, in a temporary directory that it deletes.  It
-prints each statement that nothing reached, by file, as
-`<file>:<line>  <source>`; a statement inside an unreached one is not
-listed again.  Seed 1 takes about a minute on a 2-core machine.
+of every workload config of `perfbench/workloads.py` for each seed
+through `pipeline.run_experiment`, as `tools/identity.py` does, in a
+temporary directory that it deletes.  It prints each statement that
+nothing reached, by file, as `<file>:<line>  <source>`; a statement
+inside an unreached one is not listed again.  Seed 1 takes about a
+minute on a 2-core machine.
 
 Seed 1 left 154 statements unreached.  Besides raises and the CLI,
 which the pass does not import, they are these.  They are candidates for
@@ -97,15 +98,18 @@ def main():
         reached.setdefault(name, set())
         return trace_lines
 
-    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    sys.path[:0] = [os.path.join(ROOT, "src"),
+                    os.path.join(ROOT, "perfbench")]
+    from workloads import WORKLOADS
     sys.settrace(trace_calls)
     try:
-        import identity  # imports advda under the tracer
+        from advda import pipeline as pl  # imported under the tracer
         with tempfile.TemporaryDirectory() as tmp:
-            for name, workload in identity.WORKLOADS.items():
+            for name, workload in WORKLOADS.items():
                 for seed in args.seeds:
-                    identity.run_workload(workload, seed,
-                                          os.path.join(tmp, name, str(seed)))
+                    pl.run_experiment(pl.ExperimentConfig.from_dict({
+                        **workload.experiment, "seed": seed,
+                        "out_dir": os.path.join(tmp, name, str(seed))}))
                     print(f"{name}/seed{seed}: done", flush=True)
     finally:
         sys.settrace(None)
