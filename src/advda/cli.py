@@ -54,8 +54,7 @@ def echo_table(rows):
 @main.command()
 @with_config
 def run(cfg):
-    """Run every stage of the baseline and adapted systems and print the
-    comparison table."""
+    """Run every stage of the comparison and print its table."""
     echo_table(run_experiment(cfg))
 
 
@@ -63,8 +62,7 @@ def run(cfg):
 @with_config
 def synth(cfg):
     """Generate the synthetic corpus, eval set and trial list."""
-    result = cmd_synth(cfg)
-    for path in result["outputs"]:
+    for path in cmd_synth(cfg):
         click.echo(path)
 
 
@@ -92,8 +90,7 @@ def adapt(cfg, mode, scope):
               help="label for the embedding files, e.g. baseline")
 def extract(cfg, ckpt, tag):
     """Extract embeddings for all corpus sets from a checkpoint."""
-    result = cmd_extract(cfg, ckpt, tag)
-    for path in result["outputs"]:
+    for path in cmd_extract(cfg, ckpt, tag):
         click.echo(path)
 
 

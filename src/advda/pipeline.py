@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import glob
 import hashlib
 import itertools
 import json
@@ -202,7 +203,7 @@ def _set_paths(cfg: ExperimentConfig, name: str):
 # stages
 
 
-def cmd_synth(cfg: ExperimentConfig) -> dict:
+def cmd_synth(cfg: ExperimentConfig) -> list:
     """Generate source, adaptation-target and evaluation archives + trials."""
     sets = {name: _set_paths(cfg, name) for name in cp.SETS}
     trials_path = cfg.path("trials.txt")
@@ -215,7 +216,7 @@ def cmd_synth(cfg: ExperimentConfig) -> dict:
             cp.write_manifest(tsv, records)
         make_trials(data["eval"][1], cfg.trials.nontarget_per_target,
                     seed=cfg.seed).write(trials_path)
-    return {"outputs": outputs}
+    return outputs
 
 
 def make_trials(records, nontarget_per_target: int, seed: int) -> mt.TrialList:
@@ -327,8 +328,15 @@ def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
     return out
 
 
-def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> dict:
-    """Extract embeddings for the source, target and eval sets."""
+def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> list:
+    """Extract embeddings for the source, target and eval sets.  A
+    checkpoint in the run directory must be the one of `tag`."""
+    own = cfg.path("base.ckpt" if tag == "baseline" else f"adapt_{tag}.ckpt")
+    path = os.path.abspath(checkpoint)
+    if os.path.dirname(path) == os.path.abspath(cfg.out_dir) \
+            and path != os.path.abspath(own):
+        raise ValueError(f"checkpoint {checkpoint} does not belong to tag "
+                         f"{tag!r}, whose checkpoint is {own}")
     sets = [_set_paths(cfg, name) for name in cp.SETS]
     outputs = [cfg.path(f"emb_{name}_{tag}.xvf") for name in cp.SETS]
     with _stage(cfg, f"extract_{tag}", [checkpoint, *sum(sets, ())], outputs):
@@ -340,7 +348,7 @@ def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> dict:
                 [0 if r.domain == "source" else 1 for r in records])
             cp.write_archive(out, {r.utt_id: vec[None, :].astype(np.float32)
                                    for r, vec in zip(records, vecs)})
-    return {"outputs": outputs}
+    return outputs
 
 
 def _read_embeddings(path) -> dict:
@@ -419,32 +427,31 @@ def cmd_eval(cfg: ExperimentConfig, tag: str, adapted: bool = False) -> dict:
 
 def cmd_report(cfg: ExperimentConfig) -> dict:
     """Collect all per-mode reports into one comparison table."""
+    inputs = sorted(glob.glob(os.path.join(glob.escape(cfg.out_dir),
+                                           "report_*.json")))
+    if not inputs:
+        raise FileNotFoundError("no per-mode reports found; run eval first")
     out = cfg.path("comparison.json")
-    with _stage(cfg, "report", [], [out]):
+    with _stage(cfg, "report", inputs, [out]):
         rows = {}
-        for fname in sorted(os.listdir(cfg.out_dir)):
-            if fname.startswith("report_") and fname.endswith(".json"):
-                with open(cfg.path(fname)) as f:
-                    rows[fname[len("report_"):-len(".json")]] = json.load(f)
-        if not rows:
-            raise FileNotFoundError("no per-mode reports found; run eval "
-                                    "first")
+        for path in inputs:
+            tag = os.path.basename(path)[len("report_"):-len(".json")]
+            with open(path) as f:
+                rows[tag] = json.load(f)
         mt.write_report(out, rows)
     return rows
 
 
-# (mode, scope) of each system of the paper's comparison; mode None is the
-# unadapted baseline
+# (mode, scope) of each system compared; mode None is the unadapted baseline
 VARIANTS = ((None, "all"), ("sup", "all"), ("adv", "all"),
             ("adv+sup", "all"), ("adv+sup", "post-pool"),
             ("adv+lan+sup", "all"))
 
 
 def run_experiment(cfg: ExperimentConfig, variants=VARIANTS) -> dict:
-    """Every stage of the comparison: synth and train-base; then for each
-    variant its adaptation (none for the baseline), extraction, plain and
-    adapted backend, scores and reports; then `report`, whose rows it
-    returns."""
+    """Every stage of the comparison: synth and train-base; for each
+    variant, adapt (not the baseline), extract, both backends, score and
+    eval; then `report`, whose rows it returns."""
     cmd_synth(cfg)
     base = cmd_train_base(cfg)
     for mode, scope in variants:

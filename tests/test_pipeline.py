@@ -480,6 +480,19 @@ def test_report_requires_some_eval(tmp_path):
     os.makedirs(cfg.out_dir, exist_ok=True)
     with pytest.raises(FileNotFoundError, match="report"):
         pl.cmd_report(cfg)
+    missing = ExperimentConfig.from_dict(desk_config_dict(tmp_path / "no"))
+    with pytest.raises(FileNotFoundError,
+                       match="no per-mode reports found; run eval first"):
+        pl.cmd_report(missing)
+    assert not os.path.exists(missing.out_dir)
+
+
+def test_report_manifest_lists_the_reports_it_read(desk_run):
+    cfg, rows = desk_run
+    inputs = read_json(cfg.path("report.manifest.json"))["inputs"]
+    assert inputs == {cfg.path(f"report_{tag}.json"):
+                      pl._sha256(cfg.path(f"report_{tag}.json"))
+                      for tag in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +609,52 @@ def test_cli_diverging_training_is_one_error_line(tmp_path, section, key,
     assert result.exit_code == 1
     assert result.output == f"Error: {error}\n"
     assert not (tmp_path / "run" / f"{manifest}.manifest.json").exists()
+
+
+def test_cli_extract_refuses_another_systems_checkpoint(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    runner = CliRunner()
+    for stage in ("synth", "train-base"):
+        assert runner.invoke(cli.main, [stage, "--config",
+                                        str(path)]).exit_code == 0
+    base = out / "base.ckpt"
+    result = runner.invoke(cli.main, ["extract", "--config", str(path),
+                                      "--ckpt", str(base), "--tag", "adv"])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: checkpoint {base} does not belong to "
+                             f"tag 'adv', whose checkpoint is "
+                             f"{out / 'adapt_adv.ckpt'}\n")
+    assert not list(out.glob("*_adv.*"))
+    # the run directory's own pairing, under another spelling of its path
+    result = runner.invoke(cli.main, [
+        "extract", "--config", str(path), "--tag", "baseline",
+        "--ckpt", os.path.relpath(out / "." / "base.ckpt")])
+    assert result.exit_code == 0, result.output
+    # a checkpoint from elsewhere takes any tag
+    elsewhere = tmp_path / "copy.ckpt"
+    elsewhere.write_bytes(base.read_bytes())
+    result = runner.invoke(cli.main, ["extract", "--config", str(path),
+                                      "--ckpt", str(elsewhere),
+                                      "--tag", "adv"])
+    assert result.exit_code == 0, result.output
+    assert (out / "emb_eval_adv.xvf").exists()
+
+
+def test_cli_run_prints_the_report_table(tmp_path):
+    path = write_config(tmp_path)
+    runner = CliRunner()
+    result = runner.invoke(cli.main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[0].split() == ["system", "EER%", "DCF"]
+    assert len(lines) == 1 + 2 * len(pl.VARIANTS) == 13
+    assert {line.split()[0] for line in lines[1:]} == {
+        tag + suffix for tag in (pl.tag_for(*v) for v in pl.VARIANTS)
+        for suffix in ("", "_adapted")}
+    again = runner.invoke(cli.main, ["report", "--config", str(path)])
+    assert again.exit_code == 0, again.output
+    assert again.output == result.output
 
 
 def test_cli_full_pipeline(tmp_path):
