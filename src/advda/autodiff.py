@@ -81,17 +81,20 @@ class ParamSet:
 class Node:
     """One graph operation with cached value and gradient slot."""
 
-    __slots__ = ("op", "parents", "attrs", "value", "grad", "cache", "live")
+    __slots__ = ("op", "parents", "attrs", "value", "grad", "cache", "live",
+                 "below")
 
     def __init__(self, op: str, parents=(), **attrs):
         self.op = op
-        self.parents = list(parents)
+        self.parents = tuple(parents)
         self.attrs = attrs
         self.value: np.ndarray | None = None
         self.grad: np.ndarray | None = None
         self.cache = None
         # set by `backward`: the node leads to a parameter it reports
         self.live = False
+        # set by `_topo_order` on a root: the nodes under it, in order
+        self.below: list[Node] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,16 @@ def matmul(a: Node, b: Node) -> Node:
 
 
 def _topo_order(root: Node) -> list[Node]:
+    """The nodes under `root`, parents before children, then `root`.
+
+    The walk runs once per root: `evaluate`, `update_running_stats` and
+    `backward` on one root share it, and as a node's parents are fixed
+    when it is made, it never goes stale.  The root keeps only the nodes
+    under it, never itself, so no graph is a reference cycle that would
+    wait for the cyclic garbage collector.
+    """
+    if root.below is not None:
+        return [*root.below, root]
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -257,7 +270,38 @@ def _topo_order(root: Node) -> list[Node]:
         stack.append((node, True))
         for p in node.parents:
             stack.append((p, False))
+    root.below = order[:-1]
     return order
+
+
+def _pool(x: np.ndarray, counts: tuple) -> np.ndarray:
+    """Mean and std over the rows of each segment, the bits of numpy's
+    `seg.mean(axis=0)` and `np.sqrt(seg.var(axis=0) + floor)`.
+
+    With more than one column numpy sums the rows of a C-ordered segment
+    one after another, so it is done for all segments at once over a
+    (segments, longest, F) buffer padded with -0.0, which leaves every
+    sum as it was.  A single column numpy sums pairwise, which padding
+    would change, so there it is one mean/var call per segment.
+    """
+    f = x.shape[1]
+    rows = np.split(x, np.cumsum(counts[:-1]))
+    out = np.empty((len(counts), 2 * f))
+    if f == 1:
+        for row, seg in zip(out, rows):
+            row[:f] = seg.mean(axis=0)
+            row[f:] = np.sqrt(seg.var(axis=0) + STATS_POOL_VAR_FLOOR)
+        return out
+    n = np.asarray(counts)[:, None]
+    buf = np.full((len(counts), max(counts), f), -0.0)
+    for b, seg in zip(buf, rows):
+        b[:len(seg)] = seg
+    mu = np.divide(buf.sum(axis=1), n, out=out[:, :f])
+    for b, seg, m in zip(buf, rows, mu):  # the padding stays -0.0
+        np.subtract(seg, m, out=b[:len(seg)])
+    np.square(buf, out=buf)
+    out[:, f:] = np.sqrt(buf.sum(axis=1) / n + STATS_POOL_VAR_FLOOR)
+    return out
 
 
 def _forward(node: Node) -> np.ndarray:
@@ -280,16 +324,18 @@ def _forward(node: Node) -> np.ndarray:
         return np.where(p[0].value > 0.0, 1.0, node.attrs["slope"])
     if op == "batch-norm":
         x, gamma, beta = p[0].value, p[1].value, p[2].value
-        eps = node.attrs["eps"]
         if node.attrs["training"]:
             mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat = x - mu
+            # x.var(axis=0)'s own sums, without centring x a second time
+            var = (xhat * xhat).sum(axis=0) / len(x)
         else:
             state = node.attrs["state"]
             mu = state.value(node.attrs["mean_name"])
             var = state.value(node.attrs["var_name"])
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv_std
+            xhat = x - mu
+        inv_std = 1.0 / np.sqrt(var + node.attrs["eps"])
+        xhat *= inv_std
         node.cache = (xhat, inv_std, mu, var)
         return xhat * gamma + beta
     if op == "stats-pool":
@@ -297,18 +343,8 @@ def _forward(node: Node) -> np.ndarray:
         if x.ndim != 2 or x.shape[0] < 1:
             raise GraphError("stats-pool needs a non-empty (T, F) matrix")
         counts = _segment_counts(node, x)
-        f = x.shape[1]
-        out = np.empty((len(counts), 2 * f))
-        start = 0
-        # one mean/var call per segment: a reduceat over all rows would
-        # sum in another order and change the last bits
-        for i, n in enumerate(counts):
-            seg = x[start:start + n]
-            out[i, :f] = seg.mean(axis=0)
-            out[i, f:] = np.sqrt(seg.var(axis=0) + STATS_POOL_VAR_FLOOR)
-            start += n
         node.cache = counts
-        return out
+        return _pool(x, counts)
     if op == "splice":
         x = p[0].value
         counts = _segment_counts(node, x)
@@ -429,6 +465,11 @@ def _backward_node(node: Node) -> None:
         _accum(p[0], g * (p[0].value > 0.0))
         return
     if op == "batch-norm":
+        # no stage differentiates through inference mode: the post-pool
+        # scope freezes every layer under it
+        if not node.attrs["training"]:
+            raise GraphError("backward through op 'batch-norm' in "
+                             "inference mode is not supported")
         x, gamma = p[0].value, p[1].value
         xhat, inv_std = node.cache[:2]
         _accum(p[1], (g * xhat).sum(axis=0))
@@ -436,27 +477,24 @@ def _backward_node(node: Node) -> None:
         if not p[0].live:
             return
         dxhat = g * gamma
-        if node.attrs["training"]:
-            n = x.shape[0]
-            dx = (inv_std / n) * (
-                n * dxhat - dxhat.sum(axis=0)
-                - xhat * (dxhat * xhat).sum(axis=0)
-            )
-        else:
-            dx = dxhat * inv_std
-        _accum(p[0], dx)
+        n = x.shape[0]
+        _accum(p[0], (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
+                                      - xhat * (dxhat * xhat).sum(axis=0)))
         return
     if op == "stats-pool":
+        # dx = gm / n + gs * (x - m) / (n * s) with the segment's row of
+        # each per-segment term gathered to its frames; the arithmetic is
+        # elementwise, so batching it changes no bit
         x = p[0].value
         f = x.shape[1]
-        # per-segment rows repeated over the segment's frames; the
-        # arithmetic is elementwise, so batching it changes no bit
         counts = node.cache
-        t = np.repeat(np.asarray(counts, dtype=np.float64), counts)[:, None]
-        rep = np.repeat(np.concatenate([g, node.value], axis=1), counts,
-                        axis=0)
-        gm, gs, m, s = (rep[:, i * f:(i + 1) * f] for i in range(4))
-        _accum(p[0], gm / t + gs * (x - m) / (t * s))
+        seg = np.repeat(np.arange(len(counts)), counts)  # of each frame
+        n = np.asarray(counts, dtype=np.float64)[:, None]
+        dx = x - node.value[seg, :f]
+        dx *= g[seg, f:]
+        dx /= (n * node.value[:, f:])[seg]
+        dx += (g[:, :f] / n)[seg]
+        _accum(p[0], dx)
         return
     if op == "splice":
         x = p[0].value
@@ -546,7 +584,7 @@ def evaluate(root: Node, reset: bool = True) -> np.ndarray:
     for node in order:
         if node.value is None:
             node.value = _forward(node)
-            if not np.all(np.isfinite(node.value)):
+            if not np.isfinite(node.value).all():
                 raise NonFiniteError(f"non-finite value in op {node.op!r}")
     return root.value
 
@@ -623,7 +661,7 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray],
         if g.shape != v.shape:
             raise GraphError(f"gradient shape mismatch for {name!r}")
         new = v - rate * g
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise NonFiniteError(f"non-finite value in parameter {name!r}")
         params.set_value(name, new)
     return params

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 
@@ -38,9 +39,32 @@ def with_config(command):
     return load_and_run
 
 
+# glibc's mallopt parameter numbers
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> None:
+    """Keep freed memory in the process rather than give it back to the OS.
+
+    Each training step frees arrays that the next step allocates again.
+    By default glibc trims the top of the heap after the frees and maps
+    larger arrays anew, so every step faults the same pages back in.
+    Here arrays under 32 MiB come from the heap, and up to 256 MiB of
+    free heap top stays.  Both are set, as setting one turns off glibc's
+    dynamic threshold.  Without glibc's `mallopt` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+
+
 @click.group()
 def main():
     """Adversarial domain adaptation experiments for speaker embeddings."""
+    keep_freed_memory()
 
 
 def echo_table(rows):

@@ -150,6 +150,11 @@ def tag_for(mode: str | None, scope: str) -> str:
     return safe if scope == "all" else f"{safe}_postpool"
 
 
+def _checkpoint(cfg: ExperimentConfig, tag: str) -> str:
+    """Run-directory checkpoint of the system `tag`."""
+    return cfg.path("base.ckpt" if tag == "baseline" else f"adapt_{tag}.ckpt")
+
+
 # ---------------------------------------------------------------------------
 # run manifests
 
@@ -273,7 +278,7 @@ def cmd_train_base(cfg: ExperimentConfig) -> str:
     """Train the source-only baseline network and checkpoint it."""
     source = _set_paths(cfg, "source")
     tgt_tsv = cfg.path("target.tsv")
-    out, log_path = cfg.path("base.ckpt"), cfg.path("base.log.jsonl")
+    out, log_path = _checkpoint(cfg, "baseline"), cfg.path("base.log.jsonl")
     with _stage(cfg, "train_base", [*source, tgt_tsv], [out, log_path]):
         src_feats, src_records = _load_feats(*source)
         src_labels = tr.labels_from_manifest(src_records)
@@ -298,9 +303,9 @@ def cmd_train_base(cfg: ExperimentConfig) -> str:
 def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
     """Adapt the baseline checkpoint with the given mode and scope."""
     tag = tag_for(mode, scope)
-    base = cfg.path("base.ckpt")
+    base = _checkpoint(cfg, "baseline")
     source, target = _set_paths(cfg, "source"), _set_paths(cfg, "target")
-    out = cfg.path(f"adapt_{tag}.ckpt")
+    out = _checkpoint(cfg, tag)
     log_path = cfg.path(f"adapt_{tag}.log.jsonl")
     with _stage(cfg, f"adapt_{tag}", [base, *source, *target],
                 [out, log_path]):
@@ -331,7 +336,7 @@ def cmd_adapt(cfg: ExperimentConfig, mode: str, scope: str = "all") -> str:
 def cmd_extract(cfg: ExperimentConfig, checkpoint: str, tag: str) -> list:
     """Extract embeddings for the source, target and eval sets.  A
     checkpoint in the run directory must be the one of `tag`."""
-    own = cfg.path("base.ckpt" if tag == "baseline" else f"adapt_{tag}.ckpt")
+    own = _checkpoint(cfg, tag)
     path = os.path.abspath(checkpoint)
     if os.path.dirname(path) == os.path.abspath(cfg.out_dir) \
             and path != os.path.abspath(own):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -148,7 +151,9 @@ def test_fd_batch_norm_training(rng):
     _check_grads(root, ps, tol=1e-4)
 
 
-def test_fd_batch_norm_inference(rng):
+def test_batch_norm_inference_backward_raises(rng):
+    # no stage differentiates through inference mode, so backward names
+    # the op instead of keeping a branch that nothing runs
     ps = _params_with(rng, x=(6, 3), gamma=(3,), beta=(3,))
     state = ParamSet()
     state.add("rm", rng.normal(size=3), trainable=False)
@@ -156,7 +161,13 @@ def test_fd_batch_norm_inference(rng):
     root = ad.mean(ad.square(ad.batch_norm(
         ad.param(ps, "x"), ad.param(ps, "gamma"), ad.param(ps, "beta"),
         state, "rm", "rv", training=False)))
-    _check_grads(root, ps)
+    ad.evaluate(root)
+    with pytest.raises(GraphError, match="'batch-norm' in inference mode"):
+        ad.backward(root, ps)
+    # frozen, it passes no gradient and backward never reaches it
+    for name in ps.names():
+        ps.set_trainable(name, False)
+    assert ad.backward(root, ps) == {}
 
 
 def test_fd_stats_pool(rng):
@@ -279,6 +290,31 @@ def test_segmented_stats_pool_rows(rng):
             row, ad.evaluate(ad.stats_pool(ad.const(u)))[0])
 
 
+def _pool_per_segment(x, counts):
+    """numpy's own mean and floored std of each segment, one call each."""
+    return np.array([np.concatenate([
+        seg.mean(axis=0), np.sqrt(seg.var(axis=0) + ad.STATS_POOL_VAR_FLOOR)])
+        for seg in np.split(x, np.cumsum(counts)[:-1])])
+
+
+@pytest.mark.parametrize("f", [1, 2, 4, 7, 64])
+def test_stats_pool_is_per_segment_numpy_bit_for_bit(rng, f):
+    # the pool sums all segments at once; every row must keep the bits
+    # of numpy's per-segment mean and var, which sum a single column
+    # (f = 1) pairwise and wider rows one after another
+    for trial in range(30):
+        counts = rng.integers(1, 401, size=rng.integers(1, 9))
+        if trial % 5 == 0:
+            counts[::2] = 1  # single-frame segments
+        x = rng.normal(size=(counts.sum(), f)) * 10.0 ** rng.integers(-3, 4)
+        if trial % 3 == 0:
+            x += 1e6  # a large offset: the deviations carry few bits
+        if trial % 4 == 0:
+            x[:, -1] = -0.0
+        got = ad.evaluate(ad.stats_pool(ad.const(x), counts))
+        assert got.tobytes() == _pool_per_segment(x, counts).tobytes(), trial
+
+
 def test_segment_too_short_named():
     x = ad.const(np.zeros((9, 2)))
     with pytest.raises(GraphError, match="sequence of 2 frames"):
@@ -388,6 +424,25 @@ def test_backward_skips_nodes_without_parameters(rng, monkeypatch):
     assert list(unused) == ["v"] and not unused["v"].any()
 
 
+def test_one_walk_per_root(rng):
+    # evaluate, update_running_stats and backward on one root share the
+    # order walked by the first of them, which the root keeps without
+    # itself in it
+    ps = _params_with(rng, w=(3, 4), b=(3,))
+    root = ad.mean(ad.square(ad.affine(ad.const(rng.normal(size=(5, 4))),
+                                       ad.param(ps, "w"), ad.param(ps, "b"))))
+    ad.evaluate(root)
+    below = root.below
+    assert sorted(n.op for n in below) == ["affine", "constant", "param",
+                                           "param", "square"]
+    ad.update_running_stats(root)
+    grads = ad.backward(root, ps)
+    ad.evaluate(root)
+    assert root.below is below
+    assert ad._topo_order(root) == [*below, root]
+    assert grads.keys() == {"w", "b"}
+
+
 def test_backward_keeps_only_parameter_gradients(rng):
     # a graph of most ops, two sets of parameters and a shared subterm;
     # afterwards no other node holds a gradient, and the returned ones
@@ -473,6 +528,62 @@ def test_batch_norm_normalizes_batch(rng):
                                     training=True, eps=1e-12))
     assert np.abs(out.mean(axis=0)).max() <= 1e-9
     assert np.abs(out.var(axis=0) - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("f", [1, 2, 24, 256])
+def test_batch_norm_forward_is_numpy_var_bit_for_bit(rng, f):
+    # training mode centres x once and sums the squares itself; the
+    # statistics and the output keep the bits of x.mean and x.var
+    state = ParamSet()
+    state.add("rm", np.zeros(f), trainable=False)
+    state.add("rv", np.ones(f), trainable=False)
+    for trial in range(10):
+        x = rng.normal(size=(int(rng.integers(2, 600)), f))
+        x = x * 10.0 ** rng.integers(-3, 4) + (1e6 if trial % 2 else 0.0)
+        gamma, beta = rng.normal(size=f), rng.normal(size=f)
+        node = ad.batch_norm(ad.const(x), ad.const(gamma), ad.const(beta),
+                             state, "rm", "rv", training=True)
+        out = ad.evaluate(node)
+        mu, var = x.mean(axis=0), x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        assert node.cache[2].tobytes() == mu.tobytes()
+        assert node.cache[3].tobytes() == var.tobytes()
+        assert out.tobytes() == ((x - mu) * inv_std * gamma + beta).tobytes()
+
+
+def _training_step_value(rng):
+    """A weak reference to a value of a training graph that has been
+    evaluated, folded and differentiated as a main step does, then
+    dropped."""
+    cfg = net.NetworkConfig(frame_dim=4, tdnn_widths=(6, 6),
+                            tdnn_contexts=((-1, 0, 1), (0,)), embed_dim=5,
+                            post_pool_widths=(5, 6), n_source_classes=3)
+    params = net.init_network(cfg, seed=0)
+    counts = [7, 9, 8]
+    emb = net.build_embedding_batch(
+        params, ad.const(rng.normal(size=(sum(counts), 4))), counts,
+        [0, 1, 0], training=True)
+    loss = ad.cross_entropy(
+        net.build_classifier(params, emb, "source", training=True),
+        [0, 2, 1], np.log(3))
+    ad.evaluate(emb)
+    ad.evaluate(loss, reset=False)
+    ad.update_running_stats(loss)
+    ad.backward(loss, [params.heads, params.extractor])
+    return weakref.ref(emb.value)
+
+
+def test_graph_is_freed_without_the_cycle_collector(rng):
+    # each root keeps its topological order; a graph that held itself
+    # would live until a collection, and every step's arrays with it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        value = _training_step_value(rng)
+        assert value() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _bn_graph(x, training):

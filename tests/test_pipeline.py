@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -655,6 +657,40 @@ def test_cli_run_prints_the_report_table(tmp_path):
     again = runner.invoke(cli.main, ["report", "--config", str(path)])
     assert again.exit_code == 0, again.output
     assert again.output == result.output
+
+
+def test_cli_keeps_freed_memory_once_per_invocation(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_memory",
+                        lambda: calls.append("keep"))
+    monkeypatch.setattr(cli, "cmd_synth",
+                        lambda cfg: calls.append("synth") or [])
+    path = write_config(tmp_path)
+    runner = CliRunner()
+    for _ in range(2):
+        result = runner.invoke(cli.main, ["synth", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+    assert calls == ["keep", "synth"] * 2
+
+
+def test_keep_freed_memory_sets_both_thresholds(monkeypatch):
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli.keep_freed_memory()
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20),
+                     (cli.M_TRIM_THRESHOLD, 256 << 20)]
+
+
+def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
+    # a C library without mallopt, and none at all: no error either way
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    cli.keep_freed_memory()
+
+    def no_library(name):
+        raise OSError("no C library")
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    cli.keep_freed_memory()
 
 
 def test_cli_full_pipeline(tmp_path):

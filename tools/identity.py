@@ -24,9 +24,11 @@ It writes to OUT:
 
 Stage outputs depend on the number of BLAS threads, so the pass sets
 `OPENBLAS_NUM_THREADS=1` before numpy loads and records the count the
-library reports.  `--against DIR` reads the `digests.txt` of an earlier
-pass, prints each output whose digest differs or which only one pass
-has, and exits with status 1 if there is any.  It also prints each
+library reports.  It keeps freed memory in the process as the `advda`
+command does (`cli.keep_freed_memory`), so the pass covers that
+setting.  `--against DIR` reads the `digests.txt` of an earlier pass,
+prints each output whose digest differs or which only one pass has,
+and exits with status 1 if there is any.  It also prints each
 `metrics.tsv` row that differs, every value as `<DIR's> -> <this pass's>`
 (`-` where a pass has no such row).
 
@@ -54,6 +56,7 @@ import numpy as np  # noqa: E402
 
 from advda import metrics as mt  # noqa: E402
 from advda import pipeline as pl  # noqa: E402
+from advda.cli import keep_freed_memory  # noqa: E402
 from run import blas_info  # noqa: E402  (perfbench/run.py)
 from workloads import WORKLOADS  # noqa: E402
 
@@ -84,6 +87,7 @@ def main():
     parser.add_argument("--against", default=None,
                         help="OUT directory of an earlier pass")
     args = parser.parse_args()
+    keep_freed_memory()
 
     env = {"blas": blas_info(), "python": platform.python_version(),
            "numpy": np.__version__}
